@@ -152,12 +152,27 @@ def _report_text(report: channelcore.CptpReport) -> str:
     )
 
 
+def _trajectory_csv(traj: kinetics.Trajectory, oracle) -> str:
+    """CSV text of a trajectory; an (n, 15) oracle adds columns o1..o15 and a max_dev line."""
+    names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if oracle is None else [f"o{i}" for i in range(1, 16)])
+    row_format = ",".join(["%.17g"] * len(names))
+    oracle_rows = np.empty((len(traj.times), 0)) if oracle is None else oracle
+    rows = zip(traj.times.tolist(), traj.probs, oracle_rows)
+    lines = [",".join(names)] + [row_format % (t, *p.tolist(), *o.tolist()) for t, p, o in rows]
+    if oracle is not None:
+        lines.append("# max_dev=" + _fmt(np.max(np.abs(traj.probs - oracle))))
+    return "\n".join(lines + [""])
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +258,8 @@ def cmd_evolve(args) -> int:
         raise FormatError("--t-max must be a positive finite number")
     if not (0.0 < args.dt <= args.t_max):
         raise FormatError("--dt must satisfy 0 < dt <= t-max")
+    if not args.t_max / args.dt <= kinetics.MAX_STEPS:
+        raise FormatError(f"--t-max / --dt must not exceed {kinetics.MAX_STEPS} steps")
 
     if args.initial == "identity":
         p0 = probchannel.identity_channel_probs()
@@ -253,22 +270,7 @@ def cmd_evolve(args) -> int:
         _require_range(p0)
 
     traj = kinetics.evolve_probs(h, p0, args.t_max, args.dt, label=args.hamiltonian)
-
-    header = "t," + ",".join(f"p{i}" for i in range(1, 16))
-    if args.oracle:
-        header += "," + ",".join(f"o{i}" for i in range(1, 16))
-    lines = [header]
-    max_dev = 0.0
-    for t, row in zip(traj.times, traj.probs):
-        cells = [_fmt(t)] + [_fmt(x) for x in row]
-        if args.oracle:
-            reference = kinetics.oracle_probs(h, t)
-            max_dev = max(max_dev, float(np.max(np.abs(row - reference))))
-            cells.extend(_fmt(x) for x in reference)
-        lines.append(",".join(cells))
-    if args.oracle:
-        lines.append("# max_dev=" + _fmt(max_dev))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, _trajectory_csv(traj, kinetics.oracle_probs(h, traj.times) if args.oracle else None))
     return 0
 
 

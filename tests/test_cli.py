@@ -5,6 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from probchan.kinetics import evolve_probs, oracle_probs
+from probchan.probchannel import identity_channel_probs
+
 
 def run_cli(args, stdin_text=None):
     return subprocess.run(
@@ -301,6 +304,11 @@ def test_evolve_exit_codes(tmp_path):
     assert run_cli(["evolve", "--hamiltonian", good_h, "--t-max", "-1"]).returncode == 1
     assert run_cli(["evolve", "--hamiltonian", good_h, "--t-max", "1", "--dt", "0"]).returncode == 1
     assert run_cli(["evolve", "--hamiltonian", good_h, "--t-max", "1", "--dt", "2"]).returncode == 1
+    # step counts over the cap are refused before anything is allocated
+    for t_max, dt in (("10", "5e-324"), ("1", "1e-7"), ("1e300", "1e-3")):
+        over = run_cli(["evolve", "--hamiltonian", good_h, "--t-max", t_max, "--dt", dt])
+        assert over.returncode == 1
+        assert over.stderr.startswith("error: ") and over.stderr.count("\n") == 1
 
     # in-range initial probabilities that break the channel constraints exit 2
     flat = write(tmp_path, "flat.json", probs_doc([0.5] * 15))
@@ -311,3 +319,32 @@ def test_evolve_exit_codes(tmp_path):
     assert run_cli(
         ["evolve", "--hamiltonian", good_h, "--t-max", "1", "--initial", out_of_range]
     ).returncode == 2
+
+
+def test_evolve_oracle_rows_match_per_cell_formatting(tmp_path):
+    h = np.array([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    h_path = write(tmp_path, "h.json", matrix_doc(h))
+    result = run_cli(["evolve", "--hamiltonian", h_path, "--t-max", "0.05", "--dt", "0.003", "--oracle"])
+    assert result.returncode == 0
+    traj = evolve_probs(h, identity_channel_probs(), 0.05, 0.003)
+    oracle = oracle_probs(h, traj.times)
+    lines = result.stdout.split("\n")
+    assert lines[1:-2] == [
+        ",".join("%.17g" % x for x in [t, *row, *ref]) for t, row, ref in zip(traj.times, traj.probs, oracle)
+    ]
+    assert lines[-2] == "# max_dev=%.17g" % np.max(np.abs(traj.probs - oracle))
+    assert lines[-1] == ""
+
+
+def test_unwritable_output_exits_1(tmp_path):
+    missing = str(tmp_path / "missing" / "out.txt")
+    rho = write(tmp_path, "rho.json", matrix_doc(np.eye(2) / 2.0))
+    h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
+    for args in (
+        ["state", "to-probs", "--dim", "2", rho, "-o", missing],
+        ["channel", "check", write(tmp_path, "c.json", matrix_doc(identity_choi())), "-o", missing],
+        ["evolve", "--hamiltonian", h, "--t-max", "0.01", "--output", missing],
+    ):
+        result = run_cli(args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from probchan.kinetics import (
-    _collapse_real,
+    MAX_STEPS,
     build_generator,
     build_q,
     compare_to_oracle,
@@ -10,11 +10,22 @@ from probchan.kinetics import (
     oracle_probs,
     validate_hamiltonian,
 )
-from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, hermiticity_defect, identity, kron, vec
+from probchan.matcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    hermiticity_defect,
+    identity,
+    kron,
+    rk4_step,
+    unitary_exp,
+    vec,
+)
 from probchan.probchannel import (
     channel_constraint_residuals,
     choi_from_probs,
     identity_channel_probs,
+    probs_from_choi,
 )
 from conftest import complex_normal, random_channel_probs, random_hermitian
 
@@ -103,13 +114,12 @@ def test_evolve_zero_hamiltonian_is_constant():
 
 def test_evolve_sampling_structure():
     traj = evolve_probs(PAULI_Z, identity_channel_probs(), 1.0, dt=0.3)
-    assert len(traj.samples) == 5
+    assert traj.times.shape == (5,) and traj.probs.shape == (5, 15)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
     assert traj.dt == 0.3
-    t0, p_first = traj.samples[0]
-    assert t0 == 0.0 and np.array_equal(p_first, identity_channel_probs())
+    assert np.array_equal(traj.probs[0], identity_channel_probs())
 
 
 def test_evolve_sigma_z_quarter_pi():
@@ -146,12 +156,52 @@ def test_evolve_rejects_bad_inputs():
         evolve_probs(np.array([[0.0, 1.0], [0.0, 0.0]]), p0, 1.0)
 
 
-def test_collapse_real_guard():
-    clean = np.array([1.0 + 1e-12j, 0.5])
-    out = _collapse_real(clean)
-    assert out.dtype == float and np.array_equal(out, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        _collapse_real(np.array([1.0 + 1e-8j]))
+def test_evolve_rejects_step_counts_over_the_cap():
+    p0 = identity_channel_probs()
+    for t_max, dt in ((10.0, 5e-324), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-3)):
+        with pytest.raises(ValueError, match="exceeds"):
+            evolve_probs(PAULI_Z, p0, t_max, dt)
+
+
+def test_generator_real_part_is_exactly_zero():
+    rng = np.random.default_rng(66)
+    hamiltonians = [PAULI_X, PAULI_Y, PAULI_Z]
+    hamiltonians += [random_hermitian(rng, 2, norm=float(rng.uniform(0.1, 10.0))) for _ in range(200)]
+    for h in hamiltonians:
+        gen = build_generator(h)
+        assert not gen.G.real.any() and not gen.g.real.any()
+
+
+def test_precomputed_step_matches_complex_rk4():
+    rng = np.random.default_rng(67)
+    for h in (PAULI_Y, random_hermitian(rng, 2, norm=5.0)):
+        p0 = random_channel_probs(rng)
+        gen = build_generator(h)
+
+        def deriv(_t, y):
+            return -1j * (gen.G @ y + gen.g)
+
+        y = p0
+        reference = [p0]
+        for k in range(1000):
+            y = rk4_step(deriv, y, k * 1e-3, 1e-3).real
+            reference.append(y)
+        traj = evolve_probs(h, p0, 1.0, 1e-3)
+        assert traj.probs.shape == (1001, 15)
+        assert np.max(np.abs(traj.probs - np.array(reference))) <= 1e-12
+
+
+def test_batched_oracle_matches_per_time_closed_form():
+    rng = np.random.default_rng(68)
+    times = np.concatenate([np.linspace(0.0, 9.1, 37), [10.0]])
+    for h in (PAULI_X, PAULI_Y, PAULI_Z, random_hermitian(rng, 2, norm=5.0)):
+        batched = oracle_probs(h, times)
+        assert batched.shape == (len(times), 15)
+        for t, row in zip(times, batched):
+            v = vec(unitary_exp(h, t))
+            assert np.max(np.abs(row - probs_from_choi(np.outer(v, v.conj())))) <= 1e-14
+            assert np.max(np.abs(row - oracle_probs(h, t))) <= 1e-14
+    assert oracle_probs(PAULI_Z, 0.5).shape == (15,)
 
 
 def test_oracle_at_zero_matches_identity_channel():
