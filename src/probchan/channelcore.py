@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import hermiticity_defect, hermitian_eigensystem, hermitian_eigvals, unvec, vec
+from .matcore import as_square, hermiticity_defect, hermitian_eigensystem, hermitian_eigvals, unvec, vec
 
 __all__ = [
     "CptpReport",
@@ -32,13 +32,6 @@ __all__ = [
 ]
 
 
-def _as_square(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def _split_dim(n: int, name: str) -> int:
     d = isqrt(n)
     if d * d != n:
@@ -47,7 +40,7 @@ def _split_dim(n: int, name: str) -> int:
 
 
 def _as_kraus_set(kraus_ops) -> list[np.ndarray]:
-    ops = [_as_square(a, "Kraus operator") for a in kraus_ops]
+    ops = [as_square(a, "Kraus operator") for a in kraus_ops]
     if not ops:
         raise ValueError("Kraus set is empty")
     dim = ops[0].shape[0]
@@ -59,7 +52,7 @@ def _as_kraus_set(kraus_ops) -> list[np.ndarray]:
 def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Channel action sum_k A_k rho A_k^dagger."""
     ops = _as_kraus_set(kraus_ops)
-    state = _as_square(rho, "state")
+    state = as_square(rho, "state")
     if state.shape != ops[0].shape:
         raise ValueError(f"state shape {state.shape} does not match Kraus shape {ops[0].shape}")
     out = np.zeros_like(state)
@@ -88,7 +81,7 @@ def choi_from_kraus(kraus_ops) -> np.ndarray:
 
 
 def _reshuffle(m) -> np.ndarray:
-    arr = _as_square(m, "matrix")
+    arr = as_square(m, "matrix")
     d = _split_dim(arr.shape[0], "matrix")
     return arr.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
@@ -105,8 +98,8 @@ def choi_from_superop(superop) -> np.ndarray:
 
 def apply_channel_via_choi(choi, rho) -> np.ndarray:
     """Channel action F[rho]_ki = sum_{l,j} D_{ki,lj} rho_{ij} straight off the Choi matrix."""
-    state = _as_square(rho, "state")
-    arr = _as_square(choi, "Choi matrix")
+    state = as_square(rho, "state")
+    arr = as_square(choi, "Choi matrix")
     d = state.shape[0]
     if arr.shape != (d * d, d * d):
         raise ValueError(f"Choi shape {arr.shape} does not match state dimension {d}")
@@ -124,7 +117,7 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     Raises ValueError when the input is not Hermitian within tol or has an
     eigenvalue below -tol.
     """
-    arr = _as_square(choi, "Choi matrix")
+    arr = as_square(choi, "Choi matrix")
     d = _split_dim(arr.shape[0], "Choi matrix")
     vals, vecs = hermitian_eigensystem(arr, tol)
     if vals[0] < -tol:
@@ -142,7 +135,10 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Diagnostics from verify_cptp, all defects are max absolute entries."""
+    """Diagnostics from verify_cptp, all defects are max absolute entries.
+
+    Fields are Python scalars for one matrix and arrays over a stack.
+    """
 
     hermiticity_defect: float
     trace_value: float
@@ -151,33 +147,26 @@ class CptpReport:
     verdict: str
 
 
+# indexed by 2 * cp_ok + tp_ok
+_VERDICTS = np.array(["neither", "TP-not-CP", "CP-not-TP", "CPTP"])
+
+
 def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     """Classify a candidate Choi matrix as CPTP / CP-not-TP / TP-not-CP / neither.
 
     CP requires hermiticity defect <= tol and min eigenvalue >= -tol; TP
     requires the first-slot partial trace to match the identity within tol.
+    A (..., d*d, d*d) stack gets one verdict per matrix.
     """
-    arr = _as_square(choi, "Choi matrix")
-    d = _split_dim(arr.shape[0], "Choi matrix")
+    arr = as_square(choi, "Choi matrix")
+    d = _split_dim(arr.shape[-1], "Choi matrix")
     herm = hermiticity_defect(arr)
-    trace_value = float(arr.trace().real)
-    tp_matrix = np.einsum("aiaj->ij", arr.reshape(d, d, d, d))
-    tp_defect = float(np.max(np.abs(tp_matrix - np.eye(d))))
-    min_eig = float(hermitian_eigvals((arr + arr.conj().T) / 2.0, np.inf)[0])
-    cp_ok = herm <= tol and min_eig >= -tol
-    tp_ok = tp_defect <= tol
-    if cp_ok and tp_ok:
-        verdict = "CPTP"
-    elif cp_ok:
-        verdict = "CP-not-TP"
-    elif tp_ok:
-        verdict = "TP-not-CP"
-    else:
-        verdict = "neither"
-    return CptpReport(
-        hermiticity_defect=herm,
-        trace_value=trace_value,
-        tp_defect=tp_defect,
-        min_eigenvalue=min_eig,
-        verdict=verdict,
-    )
+    tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
+    tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
+    min_eig = hermitian_eigvals(arr, np.inf)[..., 0]
+    cp_ok = (herm <= tol) & (min_eig >= -tol)
+    verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
+    fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
+    if arr.ndim == 2:
+        fields = (f.item() for f in fields)
+    return CptpReport(*fields)

@@ -8,9 +8,11 @@ standard streams. All numbers are written with 17 significant digits so a
 run is reproducible byte for byte.
 
 Exit codes: 0 success; 1 malformed input (unreadable, bad JSON, wrong
-structure, wrong sizes, non-Hermitian Hamiltonian); 2 structurally valid
-input with out-of-domain values (bad density matrix, probabilities outside
-[0, 1], Bloch or positivity violations, constraint-violating initial data).
+structure, wrong sizes, non-Hermitian Hamiltonian, bad flag values); 2
+structurally valid input with out-of-domain values (bad density matrix,
+probabilities outside [0, 1], Bloch or positivity violations,
+constraint-violating initial data, a Choi matrix whose trace is not 2 given
+to `channel to-probs`).
 """
 
 import argparse
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import channelcore, kinetics, probchannel, stateprob
-from .matcore import hermitian_eigvals
+from .matcore import hermitian_eigvals, require_range
 
 __all__ = ["main", "FormatError", "cmd_state", "cmd_channel", "cmd_evolve"]
 
@@ -35,38 +37,42 @@ class FormatError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_json(text: str):
+def _parse_object(text: str, what: str) -> dict:
     try:
-        return json.loads(text)
-    except ValueError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} document must be a JSON object")
+    return doc
+
+
+def _parse_dim(doc: dict, what: str) -> int:
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise FormatError(f"{what} document needs a positive integer 'dim'")
+    return dim
 
 
 def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FormatError(f"{what} is too large for a float") from None
+    if not math.isfinite(number):
         raise FormatError(f"{what} must be finite, got {value!r}")
-    return float(value)
-
-
-def _parse_entries(doc, what: str) -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise FormatError(f"{what} document must be a JSON object")
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FormatError(f"{what} needs a positive integer 'dim'")
-    entries = doc.get("entries")
-    return _grid_to_matrix(entries, dim, what)
+    return number
 
 
 def _grid_to_matrix(entries, dim: int, what: str) -> np.ndarray:
@@ -85,38 +91,36 @@ def _grid_to_matrix(entries, dim: int, what: str) -> np.ndarray:
     return out
 
 
-def _parse_matrix_doc(text: str, what: str = "matrix") -> np.ndarray:
-    return _parse_entries(_parse_json(text), what)
+def _parse_matrix_doc(text: str, what: str) -> np.ndarray:
+    doc = _parse_object(text, what)
+    return _grid_to_matrix(doc.get("entries"), _parse_dim(doc, what), what)
 
 
-def _parse_probs_doc(text: str) -> np.ndarray:
-    doc = _parse_json(text)
-    if not isinstance(doc, dict):
-        raise FormatError("probability document must be a JSON object")
+def _parse_choi_doc(text: str) -> np.ndarray:
+    m = _parse_matrix_doc(text, "Choi matrix")
+    if m.shape != (4, 4):
+        raise FormatError(f"Choi matrix must be 4 x 4, got {m.shape[0]} x {m.shape[1]}")
+    return m
+
+
+def _parse_probs_doc(text: str, n: int) -> np.ndarray:
+    """The document's n probabilities; a wrong count is malformed, a value outside [0, 1] out of domain."""
+    doc = _parse_object(text, "probability")
     probs = doc.get("probs")
     if not isinstance(probs, list) or not probs:
         raise FormatError("probability document needs a non-empty 'probs' list")
-    return np.array([_as_number(x, f"probs[{i}]") for i, x in enumerate(probs)])
+    if len(probs) != n:
+        raise FormatError(f"expected {n} probabilities, got {len(probs)}")
+    return require_range(np.array([_as_number(x, f"probs[{i}]") for i, x in enumerate(probs)]))
 
 
 def _parse_kraus_doc(text: str) -> list[np.ndarray]:
-    doc = _parse_json(text)
-    if not isinstance(doc, dict):
-        raise FormatError("Kraus document must be a JSON object")
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FormatError("Kraus document needs a positive integer 'dim'")
+    doc = _parse_object(text, "Kraus")
+    dim = _parse_dim(doc, "Kraus")
     kraus = doc.get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("Kraus document needs a non-empty 'kraus' list")
     return [_grid_to_matrix(grid, dim, f"Kraus operator {k}") for k, grid in enumerate(kraus)]
-
-
-def _require_range(p: np.ndarray) -> np.ndarray:
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        bad = p[(p < 0.0) | (p > 1.0)][0]
-        raise ValueError(f"probability {bad!r} lies outside [0, 1]")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +195,7 @@ def cmd_state(args) -> int:
             p = stateprob.ququart_probs_from_density(m)
         _write_text(args.output, _probs_text(p))
     else:
-        p = _parse_probs_doc(text)
-        need = 3 if args.dim == 2 else 15
-        if p.size != need:
-            raise FormatError(f"expected {need} probabilities for --dim {args.dim}, got {p.size}")
-        _require_range(p)
+        p = _parse_probs_doc(text, 3 if args.dim == 2 else 15)
         if args.dim == 2:
             valid, margin = stateprob.qubit_bloch_check(p)
             if not valid:
@@ -211,12 +211,11 @@ def cmd_state(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise FormatError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     text = _read_text(args.input)
     if args.action == "check":
-        m = _parse_matrix_doc(text, "Choi matrix")
-        if m.shape != (4, 4):
-            raise FormatError(f"Choi matrix must be 4 x 4, got {m.shape[0]} x {m.shape[1]}")
-        report = channelcore.verify_cptp(m, args.tolerance)
+        report = channelcore.verify_cptp(_parse_choi_doc(text), args.tolerance)
         _write_text(args.output, _report_text(report))
     elif args.action == "choi-from-kraus":
         ops = _parse_kraus_doc(text)
@@ -224,16 +223,17 @@ def cmd_channel(args) -> int:
             raise FormatError("Kraus operators must be 2 x 2")
         _write_text(args.output, _matrix_text(channelcore.choi_from_kraus(ops)))
     elif args.action == "to-probs":
-        m = _parse_matrix_doc(text, "Choi matrix")
-        if m.shape != (4, 4):
-            raise FormatError(f"Choi matrix must be 4 x 4, got {m.shape[0]} x {m.shape[1]}")
+        m = _parse_choi_doc(text)
         p = probchannel.probs_from_choi(m)
+        trace = m.trace().real
+        if not abs(trace - 2.0) <= args.tolerance:
+            raise ValueError(
+                f"Choi matrix trace is {_fmt(trace)}, not 2 within --tolerance; "
+                "fifteen probabilities fix only trace-2 matrices"
+            )
         _write_text(args.output, _probs_text(p))
     else:
-        p = _parse_probs_doc(text)
-        if p.size != probchannel.N_PROBS:
-            raise FormatError(f"expected {probchannel.N_PROBS} probabilities, got {p.size}")
-        _require_range(p)
+        p = _parse_probs_doc(text, probchannel.N_PROBS)
         ok, residuals = probchannel.check_channel_prob_constraints(p, args.tolerance)
         status = "ok" if ok else "violated"
         print(
@@ -247,29 +247,19 @@ def cmd_channel(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    h = _parse_matrix_doc(_read_text(args.hamiltonian), "Hamiltonian")
     try:
-        h = _parse_matrix_doc(_read_text(args.hamiltonian), "Hamiltonian")
-        if h.shape != (2, 2):
-            raise FormatError(f"Hamiltonian must be 2 x 2, got {h.shape[0]} x {h.shape[1]}")
         h = kinetics.validate_hamiltonian(h)
+        kinetics.check_time_grid(args.t_max, args.dt)
     except ValueError as exc:
-        raise FormatError(f"bad Hamiltonian: {exc}") from exc
-    if not (args.t_max > 0.0) or not math.isfinite(args.t_max):
-        raise FormatError("--t-max must be a positive finite number")
-    if not (0.0 < args.dt <= args.t_max):
-        raise FormatError("--dt must satisfy 0 < dt <= t-max")
-    if not args.t_max / args.dt <= kinetics.MAX_STEPS:
-        raise FormatError(f"--t-max / --dt must not exceed {kinetics.MAX_STEPS} steps")
+        raise FormatError(str(exc)) from exc
 
     if args.initial == "identity":
         p0 = probchannel.identity_channel_probs()
     else:
-        p0 = _parse_probs_doc(_read_text(args.initial))
-        if p0.size != probchannel.N_PROBS:
-            raise FormatError(f"expected {probchannel.N_PROBS} initial probabilities, got {p0.size}")
-        _require_range(p0)
+        p0 = _parse_probs_doc(_read_text(args.initial), probchannel.N_PROBS)
 
-    traj = kinetics.evolve_probs(h, p0, args.t_max, args.dt, label=args.hamiltonian)
+    traj = kinetics.evolve_probs(h, p0, args.t_max, args.dt)
     _write_text(args.output, _trajectory_csv(traj, kinetics.oracle_probs(h, traj.times) if args.oracle else None))
     return 0
 
@@ -295,7 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
     channel = sub.add_parser("channel", help="inspect and convert channel representations")
     channel.add_argument("action", choices=("check", "choi-from-kraus", "to-probs", "from-probs"))
     channel.add_argument("input", help="input file path, or - for stdin")
-    channel.add_argument("--tolerance", type=float, default=1e-9, help="verdict and residual tolerance (default 1e-9)")
+    channel.add_argument(
+        "--tolerance", type=float, default=1e-9, help="verdict, residual and trace tolerance (default 1e-9)"
+    )
     channel.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
     channel.set_defaults(handler=cmd_channel)
 

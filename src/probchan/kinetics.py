@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import hermitian_eigensystem, hermiticity_defect, identity, kron, rk4_step
-from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints
+from .matcore import as_length, hermitian_eigensystem, identity, kron, require_hermitian, rk4_step
+from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
     "MAX_STEPS",
@@ -44,10 +44,19 @@ def validate_hamiltonian(h) -> np.ndarray:
     arr = np.asarray(h, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2 x 2 Hamiltonian, got shape {arr.shape}")
-    defect = hermiticity_defect(arr)
-    if defect > _HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}")
-    return arr
+    return require_hermitian(arr, _HERMITICITY_TOL, "Hamiltonian")
+
+
+def check_time_grid(t_max: float, dt: float) -> float:
+    """t_max / dt, once t_max is positive and finite, 0 < dt <= t_max and the ratio is at most MAX_STEPS."""
+    if not 0.0 < t_max < np.inf:
+        raise ValueError("t_max must be a positive finite number")
+    if not 0.0 < dt <= t_max:
+        raise ValueError("dt must satisfy 0 < dt <= t_max")
+    ratio = t_max / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_max / dt = {ratio!r} exceeds {MAX_STEPS} steps")
+    return ratio
 
 
 def build_q(h) -> np.ndarray:
@@ -90,10 +99,9 @@ class Trajectory:
     times: np.ndarray
     probs: np.ndarray
     dt: float
-    hamiltonian_label: str = ""
 
 
-def evolve_probs(h, p0, t_max: float, dt: float = 1e-3, *, label: str = "") -> Trajectory:
+def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
     """Integrate the kinetic equation from p0 over [0, t_max].
 
     Samples at every RK4 step; a shorter final step lands exactly on t_max
@@ -106,22 +114,13 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3, *, label: str = "") -> T
         p0: 15-vector satisfying the channel constraints within 1e-9.
         t_max: horizon, positive.
         dt: step, 0 < dt <= t_max, with t_max / dt at most MAX_STEPS.
-        label: stored on the trajectory for reporting.
     """
     arr_h = validate_hamiltonian(h)
-    p = np.asarray(p0, dtype=float)
-    if p.shape != (N_PROBS,):
-        raise ValueError(f"expected {N_PROBS} initial probabilities, got shape {p.shape}")
+    p = as_length(p0, N_PROBS, "initial probabilities")
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")
-    if not (t_max > 0.0):
-        raise ValueError("t_max must be positive")
-    if not (0.0 < dt <= t_max):
-        raise ValueError("dt must satisfy 0 < dt <= t_max")
-    ratio = t_max / dt
-    if not ratio <= MAX_STEPS:
-        raise ValueError(f"t_max / dt = {ratio!r} exceeds {MAX_STEPS} steps")
+    ratio = check_time_grid(t_max, dt)
 
     gen = build_generator(arr_h)
     if gen.G.real.any() or gen.g.real.any():
@@ -147,26 +146,19 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3, *, label: str = "") -> T
     times = np.arange(len(probs)) * dt
     times[-1] = t_max
 
-    return Trajectory(times=times, probs=probs, dt=dt, hamiltonian_label=label)
+    return Trajectory(times=times, probs=probs, dt=dt)
 
 
 def oracle_probs(h, t) -> np.ndarray:
     """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), from one eigh of h.
 
     t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
-    The affine map and its 1e-9 imaginary-residue check are probs_from_choi's.
     """
     vals, vecs = hermitian_eigensystem(validate_hamiltonian(h), 1e-12)
     times = np.asarray(t, dtype=float)
     phases = np.exp(-1j * vals * times.reshape(-1, 1, 1))
     v = ((vecs * phases) @ vecs.conj().T).reshape(-1, 4)
-    choi = (v[:, :, None] * v[:, None, :].conj()).reshape(-1, 16)
-    k = build_constants()
-    raw = choi @ k.prob_matrix.T + k.prob_offset
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > 1e-9:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds 1.000e-09; oracle is inconsistent")
-    return raw.real.reshape(times.shape + (N_PROBS,)).copy()
+    return probs_from_choi(v[:, :, None] * v[:, None, :].conj()).reshape(times.shape + (N_PROBS,))
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:

@@ -2,6 +2,10 @@
 
 Vectorization is row-major throughout: vec stacks matrix rows, so
 vec(A X B) = (A kron B^T) vec(X).
+
+The input checks every module shares live here too, one of each kind:
+as_square (a square matrix or a stack of them), as_length (a trailing axis
+of fixed length), require_range ([0, 1]) and require_hermitian.
 """
 
 import numpy as np
@@ -45,10 +49,40 @@ def _as_matrix(m) -> np.ndarray:
     return arr
 
 
-def _as_square(m) -> np.ndarray:
-    arr = _as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
+def as_square(m, what: str = "matrix") -> np.ndarray:
+    """Complex array of shape (..., n, n): one square matrix or a stack of them."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {arr.shape}")
+    return arr
+
+
+def as_length(v, n: int, what: str = "probabilities", dtype=float) -> np.ndarray:
+    """Array of shape (..., n): one length-n vector or a stack of them."""
+    arr = np.asarray(v, dtype=dtype)
+    if arr.shape[-1:] != (n,):
+        raise ValueError(f"expected {n} {what}, got shape {arr.shape}")
+    return arr
+
+
+def require_range(p: np.ndarray) -> np.ndarray:
+    """p itself when every entry lies in [0, 1], else ValueError naming the first that does not."""
+    outside = p[(p < 0.0) | (p > 1.0)]
+    if outside.size:
+        raise ValueError(f"probability {outside[0]!r} lies outside [0, 1]")
+    return p
+
+
+def require_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
+    """as_square(m), after checking that every matrix in it is Hermitian within tol entrywise."""
+    arr = as_square(m, what)
+    defect = hermiticity_defect(arr).max(initial=0.0)
+    if defect > tol:
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
     return arr
 
 
@@ -58,57 +92,55 @@ def kron(a, b) -> np.ndarray:
 
 
 def vec(m) -> np.ndarray:
-    """Row-major vectorization of a square matrix.
+    """Row-major vectorization of a square matrix, or of each matrix in a stack.
 
     Entry (i, j) of an n x n matrix lands at flat position i*n + j.
     """
-    return _as_square(m).reshape(-1)
+    arr = as_square(m)
+    return arr.reshape(arr.shape[:-2] + (-1,))
 
 
 def unvec(v, n: int) -> np.ndarray:
-    """Inverse of vec: rebuild an n x n matrix from a length n*n vector."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.ndim != 1 or arr.size != n * n:
-        raise ValueError(f"expected a vector of length {n * n}, got shape {arr.shape}")
-    return arr.reshape(n, n)
+    """Inverse of vec: rebuild n x n matrices from vectors of length n*n."""
+    arr = as_length(v, n * n, "vector entries", complex)
+    return arr.reshape(arr.shape[:-1] + (n, n))
 
 
-def hermiticity_defect(m) -> float:
-    """Max absolute entry of m - m^dagger."""
-    arr = _as_square(m)
-    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+def hermiticity_defect(m):
+    """Max absolute entry of m - m^dagger, one value per matrix of a stack."""
+    arr = as_square(m)
+    return np.abs(arr - _adjoint(arr)).max(axis=(-2, -1), initial=0.0)
+
+
+def _hermitian_part(m, tol: float) -> np.ndarray:
+    arr = require_hermitian(m, tol)
+    # average with the adjoint so the solver sees an exactly Hermitian input
+    return (arr + _adjoint(arr)) / 2.0
 
 
 def hermitian_eigensystem(m, tol: float = 1e-10):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix or stack.
 
     Args:
-        m: square matrix, Hermitian within tol entrywise.
+        m: square matrix or stack of them, Hermitian within tol entrywise.
         tol: hermiticity gate; violation raises ValueError.
 
     Returns:
-        (eigvals, eigvecs) with eigvecs[:, k] the vector for eigvals[k].
+        (eigvals, eigvecs) with eigvecs[..., :, k] the vector for eigvals[..., k].
     """
-    arr = _as_square(m)
-    defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
-    # average with the adjoint so the solver sees an exactly Hermitian input
-    vals, vecs = np.linalg.eigh((arr + arr.conj().T) / 2.0)
-    return vals, vecs
+    return np.linalg.eigh(_hermitian_part(m, tol))
 
 
 def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix."""
-    vals, _ = hermitian_eigensystem(m, tol)
-    return vals
+    """Ascending real eigenvalues of a Hermitian matrix or of each matrix in a stack."""
+    return np.linalg.eigvalsh(_hermitian_part(m, tol))
 
 
 def unitary_exp(h, t: float) -> np.ndarray:
-    """exp(-i*h*t) through the spectral decomposition of Hermitian h."""
+    """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack)."""
     vals, vecs = hermitian_eigensystem(h, 1e-12)
     phases = np.exp(-1j * vals * float(t))
-    return (vecs * phases) @ vecs.conj().T
+    return (vecs * phases[..., None, :]) @ _adjoint(vecs)
 
 
 def rk4_step(f, y, t: float, dt: float):

@@ -20,13 +20,10 @@ to three scalar constraints on the probabilities:
     p1 + p3 = 3/2,    p4 + p14 = 1,    p5 + p15 = 1   (1-based).
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .matcore import unvec, vec
-from .stateprob import OFFDIAG_PROB_PAIRS
+from .matcore import as_length, as_square
+from .stateprob import N_PROBS, AffineConstants, affine_choi, affine_probs, build_constants
 
 __all__ = [
     "N_PROBS",
@@ -39,123 +36,43 @@ __all__ = [
     "identity_channel_probs",
 ]
 
-N_PROBS = 15
-_DIM = 4
-
-
-@dataclass(frozen=True)
-class AffineConstants:
-    """The two affine maps, packaged with their offsets. Arrays are read-only."""
-
-    prob_matrix: np.ndarray
-    prob_offset: np.ndarray
-    choi_matrix: np.ndarray
-    choi_offset: np.ndarray
-
-
-def _diag_index(k: int) -> int:
-    return k * _DIM + k
-
-
-@lru_cache(maxsize=1)
-def build_constants() -> AffineConstants:
-    """Construct the affine constants and validate the exact identities.
-
-    The probability side reads D as twice a ququart density matrix: the
-    diagonal rows take -1/2 at vec positions 5, 10, 15 (offset 1), the
-    off-diagonal rows take 1/4 at the paired positions (real part) or
-    +-i/4 (imaginary part, offset 1/2). The inverse writes each vec(D)
-    component back from at most three probabilities with entries in
-    {2, -2, +-2i} and offsets {-4, 2, -1+-i}.
-
-    Raises RuntimeError if the compatibility identities fail to hold
-    exactly, which would mean the tables above were corrupted.
-    """
-    a = np.zeros((N_PROBS, _DIM * _DIM), dtype=complex)
-    b = np.zeros(N_PROBS)
-    for row, k in enumerate((1, 2, 3)):
-        a[row, _diag_index(k)] = -0.5
-        b[row] = 1.0
-    for r, c, re_i, im_i in OFFDIAG_PROB_PAIRS:
-        upper = r * _DIM + c
-        lower = c * _DIM + r
-        a[re_i, upper] = 0.25
-        a[re_i, lower] = 0.25
-        b[re_i] = 0.5
-        a[im_i, upper] = 0.25j
-        a[im_i, lower] = -0.25j
-        b[im_i] = 0.5
-
-    bm = np.zeros((_DIM * _DIM, N_PROBS), dtype=complex)
-    c_off = np.zeros(_DIM * _DIM, dtype=complex)
-    bm[0, 0] = bm[0, 1] = bm[0, 2] = 2.0
-    c_off[0] = -4.0
-    for col, k in enumerate((1, 2, 3)):
-        bm[_diag_index(k), col] = -2.0
-        c_off[_diag_index(k)] = 2.0
-    for r, c, re_i, im_i in OFFDIAG_PROB_PAIRS:
-        upper = r * _DIM + c
-        lower = c * _DIM + r
-        bm[upper, re_i] = 2.0
-        bm[upper, im_i] = -2.0j
-        c_off[upper] = -1.0 + 1.0j
-        bm[lower, re_i] = 2.0
-        bm[lower, im_i] = 2.0j
-        c_off[lower] = -1.0 - 1.0j
-
-    if not np.array_equal(a @ bm, np.eye(N_PROBS, dtype=complex)):
-        raise RuntimeError("affine constants corrupt: prob_matrix . choi_matrix != I exactly")
-    if not np.array_equal(a @ c_off + b, np.zeros(N_PROBS, dtype=complex)):
-        raise RuntimeError("affine constants corrupt: prob_matrix . choi_offset + prob_offset != 0 exactly")
-
-    for arr in (a, b, bm, c_off):
-        arr.setflags(write=False)
-    return AffineConstants(prob_matrix=a, prob_offset=b, choi_matrix=bm, choi_offset=c_off)
-
 
 def probs_from_choi(choi, imag_tol: float = 1e-9) -> np.ndarray:
-    """Probability vector of a 4 x 4 dynamical matrix.
+    """Probability vector of a 4 x 4 dynamical matrix, or one per matrix of a (..., 4, 4) stack.
 
     The affine image is complex in general; its imaginary part must vanish
     within imag_tol (it does exactly for Hermitian input), otherwise
     ValueError. The real part is returned unclipped.
     """
-    arr = np.asarray(choi, dtype=complex)
-    if arr.shape != (_DIM, _DIM):
-        raise ValueError(f"expected a 4 x 4 matrix, got shape {arr.shape}")
-    k = build_constants()
-    raw = k.prob_matrix @ vec(arr) + k.prob_offset
-    residue = float(np.max(np.abs(raw.imag)))
+    raw = affine_probs(as_length(as_square(choi, "Choi matrix"), 4, "Choi matrix columns", complex))
+    residue = np.abs(raw.imag).max(initial=0.0)
     if residue > imag_tol:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")
     return raw.real.copy()
 
 
 def choi_from_probs(probs) -> np.ndarray:
-    """Dynamical matrix from any real 15-vector.
+    """Dynamical matrix from any real 15-vector, or one per row of a (..., 15) stack.
 
     Defined for every real input (Hermitian output by construction);
     components need not lie in [0, 1], which lets callers reconstruct from
     slightly out-of-range numerical data.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (N_PROBS,):
-        raise ValueError(f"expected {N_PROBS} probabilities, got shape {p.shape}")
-    k = build_constants()
-    return unvec(k.choi_matrix @ p + k.choi_offset, _DIM)
+    return affine_choi(as_length(probs, N_PROBS))
 
 
 def channel_constraint_residuals(probs) -> np.ndarray:
-    """Absolute residuals of the three trace-preservation constraints."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (N_PROBS,):
-        raise ValueError(f"expected {N_PROBS} probabilities, got shape {p.shape}")
-    return np.array(
-        [
-            abs(p[0] + p[2] - 1.5),
-            abs(p[3] + p[13] - 1.0),
-            abs(p[4] + p[14] - 1.0),
-        ]
+    """Absolute residuals of the three trace-preservation constraints, per row of a stack."""
+    p = as_length(probs, N_PROBS)
+    return np.abs(
+        np.stack(
+            [
+                p[..., 0] + p[..., 2] - 1.5,
+                p[..., 3] + p[..., 13] - 1.0,
+                p[..., 4] + p[..., 14] - 1.0,
+            ],
+            axis=-1,
+        )
     )
 
 

@@ -1,6 +1,25 @@
-"""Shared deterministic generators for random test inputs."""
+"""Shared deterministic generators for random test inputs, and the CLI runner."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(args, stdin_text=None):
+    """Run `python -m probchan` in a child process that imports the package from this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "probchan", *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 def complex_normal(rng, shape):

@@ -5,8 +5,6 @@ each test also asserts, so a plain pytest run enforces the gate.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -27,7 +25,7 @@ from probchan.stateprob import (
     ququart_density_from_probs,
     ququart_probs_from_density,
 )
-from conftest import complex_normal, random_bloch_probs, random_density, random_hermitian, random_tp_kraus
+from conftest import complex_normal, random_bloch_probs, random_density, random_hermitian, random_tp_kraus, run_cli
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -152,7 +150,7 @@ def kinetic_runs():
     t0 = time.perf_counter()
     runs = []
     for name, h in hamiltonians:
-        traj = evolve_probs(h, p0, 10.0, 1e-3, label=name)
+        traj = evolve_probs(h, p0, 10.0, 1e-3)
         runs.append((name, h, traj, compare_to_oracle(h, traj)))
 
     orders = []
@@ -192,10 +190,7 @@ def test_criterion_08_conserved_constraints(kinetic_runs):
         )
         lowest = min(lowest, float(p.min()))
         highest = max(highest, float(p.max()))
-        for row in p:
-            if verify_cptp(choi_from_probs(row), 1e-6).verdict != "CPTP":
-                all_cptp = False
-                break
+        all_cptp = all_cptp and bool(np.all(verify_cptp(choi_from_probs(p), 1e-6).verdict == "CPTP"))
     in_range = lowest >= -1e-7 and highest <= 1.0 + 1e-7
     ok = worst_residual <= 1e-7 and in_range and all_cptp
     report(
@@ -221,15 +216,6 @@ def test_criterion_09_closed_form_spot_checks():
         f"sigma_x at pi/2: p3 = {final_x[2]:.9f}, p10 = {final_x[9]:.9f}",
     )
     assert ok
-
-
-def run_cli(args, stdin_text=None):
-    return subprocess.run(
-        [sys.executable, "-m", "probchan", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_criterion_10_cli_contract(tmp_path):

@@ -1,21 +1,11 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from probchan.kinetics import evolve_probs, oracle_probs
 from probchan.probchannel import identity_channel_probs
-
-
-def run_cli(args, stdin_text=None):
-    return subprocess.run(
-        [sys.executable, "-m", "probchan", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-    )
+from conftest import run_cli
 
 
 def matrix_doc(m):
@@ -49,7 +39,10 @@ def parse_probs(text):
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -259,14 +252,19 @@ BAD_MATRIX_CASES = [
     json.dumps({"dim": 2, "entries": [[[1], [0, 0]], [[0, 0], [0, 0]]]}),
     json.dumps({"dim": 2, "entries": [[["1", 0], [0, 0]], [[0, 0], [0, 0]]]}),
     '{"dim": 2, "entries": [[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+    pytest.param('{"dim": 2, "entries": [[[1%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % ("0" * 399), id="400-digit-integer"),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+    pytest.param(b'{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0\xff\xfe]]]}', id="not-utf-8"),
 ]
 
 
 @pytest.mark.parametrize("text", BAD_MATRIX_CASES)
 def test_malformed_matrix_exits_1(tmp_path, text):
     path = write(tmp_path, "bad.json", text)
-    assert run_cli(["state", "to-probs", "--dim", "2", path]).returncode == 1
-    assert run_cli(["channel", "check", path]).returncode == 1
+    for args in (["state", "to-probs", "--dim", "2", path], ["channel", "check", path]):
+        result = run_cli(args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_exit_codes_on_invalid_values(tmp_path):
@@ -287,6 +285,12 @@ def test_exit_codes_on_invalid_values(tmp_path):
     non_hermitian_choi = write(tmp_path, "nhc.json", skew_doc)
     assert run_cli(["channel", "to-probs", non_hermitian_choi]).returncode == 2
 
+    # fifteen probabilities fix only trace-2 Choi matrices; to-probs refuses the rest
+    trace_one = write(tmp_path, "t1.json", matrix_doc(np.diag([1.0, 0.0, 0.0, 0.0])))
+    lossy = run_cli(["channel", "to-probs", trace_one])
+    assert lossy.returncode == 2
+    assert lossy.stderr.startswith("error: Choi matrix trace is 1,") and lossy.stderr.count("\n") == 1
+
     # structural problems exit 1
     wrong_len = write(tmp_path, "wl.json", probs_doc([0.5] * 4))
     assert run_cli(["state", "from-probs", "--dim", "2", wrong_len]).returncode == 1
@@ -295,6 +299,10 @@ def test_exit_codes_on_invalid_values(tmp_path):
     no_dim = write(tmp_path, "nd.json", json.dumps({"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
     assert run_cli(["channel", "choi-from-kraus", no_dim]).returncode == 1
     assert run_cli(["state", "to-probs", "--dim", "2", str(tmp_path / "missing.json")]).returncode == 1
+    choi = write(tmp_path, "choi.json", matrix_doc(identity_choi()))
+    ident = write(tmp_path, "ident.json", probs_doc(identity_channel_probs()))
+    for tolerance, args in (("nan", ["check", choi]), ("inf", ["to-probs", choi]), ("-1", ["from-probs", ident])):
+        assert run_cli(["channel", *args, "--tolerance", tolerance]).returncode == 1
 
 
 def test_evolve_exit_codes(tmp_path):

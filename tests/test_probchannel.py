@@ -130,6 +130,31 @@ def test_probs_from_choi_rejects_imaginary_residue():
         probs_from_choi(np.eye(3))
 
 
+def test_stacked_calls_match_per_element_calls():
+    rng = np.random.default_rng(58)
+    swap = np.zeros((4, 4), dtype=complex)
+    swap[0, 0] = swap[1, 2] = swap[2, 1] = swap[3, 3] = 1.0
+    chois = [choi_from_kraus(random_tp_kraus(rng, int(rng.integers(1, 5)))) for _ in range(6)]
+    chois += [0.5 * choi_from_kraus(random_tp_kraus(rng, 2)) for _ in range(3)]  # CP, not TP
+    chois += [swap, np.diag([-1.0, 1.0, 1.0, 1.0]), np.diag([2.0, 0.0, 0.0, 0.0])]
+    stack = np.array(chois, dtype=complex)
+
+    probs = probs_from_choi(stack)
+    assert probs.tobytes() == np.array([probs_from_choi(m) for m in stack]).tobytes()
+    back = choi_from_probs(probs)
+    assert back.tobytes() == np.array([choi_from_probs(p) for p in probs]).tobytes()
+
+    stacked = verify_cptp(stack.reshape(3, 4, 4, 4), 1e-9)
+    singles = [verify_cptp(m, 1e-9) for m in stack]
+    assert {r.verdict for r in singles} == {"CPTP", "CP-not-TP", "TP-not-CP", "neither"}
+    assert stacked.verdict.reshape(-1).tolist() == [r.verdict for r in singles]
+    for field in ("hermiticity_defect", "trace_value", "tp_defect", "min_eigenvalue"):
+        values = [getattr(r, field) for r in singles]
+        assert all(type(v) is float for v in values)
+        assert np.max(np.abs(getattr(stacked, field).reshape(-1) - values)) <= 1e-12
+    assert all(type(r.verdict) is str for r in singles)
+
+
 def test_probabilities_in_range_for_cptp():
     rng = np.random.default_rng(53)
     for _ in range(200):
