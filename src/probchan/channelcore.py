@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import as_square, hermiticity_defect, hermitian_eigensystem, hermitian_eigvals, unvec, vec
+from .matcore import _adjoint, as_square, hermitian_eigensystem, hermitian_part, hermiticity_defect, unvec, vec
 
 __all__ = [
     "CptpReport",
@@ -39,13 +39,16 @@ def _split_dim(n: int, name: str) -> int:
     return d
 
 
-def _as_kraus_set(kraus_ops) -> list[np.ndarray]:
-    ops = [as_square(a, "Kraus operator") for a in kraus_ops]
-    if not ops:
+def _as_kraus_set(kraus_ops) -> np.ndarray:
+    """The Kraus operators as one (k, d, d) complex array, k >= 1."""
+    try:
+        ops = np.array(list(kraus_ops), dtype=complex)
+    except ValueError:
+        raise ValueError("Kraus set is not one stack of numeric matrices of equal shape") from None
+    if not len(ops):
         raise ValueError("Kraus set is empty")
-    dim = ops[0].shape[0]
-    if any(a.shape != (dim, dim) for a in ops):
-        raise ValueError("Kraus operators have mismatched shapes")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise ValueError(f"Kraus set must be square matrices stacking to shape (k, d, d), got {ops.shape}")
     return ops
 
 
@@ -53,41 +56,33 @@ def apply_kraus(kraus_ops, rho) -> np.ndarray:
     """Channel action sum_k A_k rho A_k^dagger."""
     ops = _as_kraus_set(kraus_ops)
     state = as_square(rho, "state")
-    if state.shape != ops[0].shape:
-        raise ValueError(f"state shape {state.shape} does not match Kraus shape {ops[0].shape}")
-    out = np.zeros_like(state)
-    for a in ops:
-        out += a @ state @ a.conj().T
-    return out
+    if state.shape != ops.shape[1:]:
+        raise ValueError(f"state shape {state.shape} does not match Kraus shape {ops.shape[1:]}")
+    return np.sum(ops @ state @ _adjoint(ops), axis=0, initial=0)
 
 
 def kraus_tp_defect(kraus_ops) -> float:
     """Max absolute entry of sum_k A_k^dagger A_k - I."""
     ops = _as_kraus_set(kraus_ops)
-    acc = np.zeros_like(ops[0])
-    for a in ops:
-        acc += a.conj().T @ a
-    return float(np.max(np.abs(acc - np.eye(ops[0].shape[0]))))
+    return float(np.max(np.abs(np.sum(_adjoint(ops) @ ops, axis=0, initial=0) - np.eye(ops.shape[-1]))))
 
 
 def choi_from_kraus(kraus_ops) -> np.ndarray:
     """Choi matrix sum_k vec(A_k) vec(A_k)^dagger (Hermitian and PSD by construction)."""
-    ops = _as_kraus_set(kraus_ops)
-    vecs = [vec(a) for a in ops]
-    choi = np.zeros((vecs[0].size, vecs[0].size), dtype=complex)
-    for v in vecs:
-        choi += np.outer(v, v.conj())
-    return choi
+    v = vec(_as_kraus_set(kraus_ops))
+    # one outer product per operator, summed in operator order: one matmul over the stack rounds differently
+    return np.sum(v[:, :, None] * v[:, None, :].conj(), axis=0, initial=0)
 
 
 def _reshuffle(m) -> np.ndarray:
     arr = as_square(m, "matrix")
-    d = _split_dim(arr.shape[0], "matrix")
-    return arr.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    d = _split_dim(arr.shape[-1], "matrix")
+    lead = arr.shape[:-2]
+    return arr.reshape(lead + (d, d, d, d)).swapaxes(-3, -2).reshape(lead + (d * d, d * d))
 
 
 def superop_from_choi(choi) -> np.ndarray:
-    """Action matrix L with vec(F[rho]) = L vec(rho), from the Choi matrix."""
+    """Action matrix L with vec(F[rho]) = L vec(rho), from the Choi matrix or each matrix of a stack."""
     return _reshuffle(choi)
 
 
@@ -97,12 +92,15 @@ def choi_from_superop(superop) -> np.ndarray:
 
 
 def apply_channel_via_choi(choi, rho) -> np.ndarray:
-    """Channel action F[rho]_ki = sum_{l,j} D_{ki,lj} rho_{ij} straight off the Choi matrix."""
+    """Channel action F[rho]_ki = sum_{l,j} D_{ki,lj} rho_{ij} straight off the Choi matrix.
+
+    Takes one Choi matrix and one state; a stack of either raises ValueError.
+    """
     state = as_square(rho, "state")
     arr = as_square(choi, "Choi matrix")
-    d = state.shape[0]
-    if arr.shape != (d * d, d * d):
-        raise ValueError(f"Choi shape {arr.shape} does not match state dimension {d}")
+    d = state.shape[-1]
+    if state.ndim != 2 or arr.shape != (d * d, d * d):
+        raise ValueError(f"Choi shape {arr.shape} does not match state shape {state.shape}")
     return np.einsum("kilj,ij->kl", arr.reshape(d, d, d, d), state)
 
 
@@ -114,23 +112,22 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     order, each eigenvector's largest-magnitude component rotated to the
     positive real axis so the output is deterministic.
 
-    Raises ValueError when the input is not Hermitian within tol or has an
-    eigenvalue below -tol.
+    Raises ValueError when the input is a stack, is not Hermitian within
+    tol or has an eigenvalue below -tol.
     """
     arr = as_square(choi, "Choi matrix")
-    d = _split_dim(arr.shape[0], "Choi matrix")
+    if arr.ndim != 2:
+        raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
+    d = _split_dim(arr.shape[-1], "Choi matrix")
     vals, vecs = hermitian_eigensystem(arr, tol)
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
-    ops = []
-    for k in range(vals.size - 1, -1, -1):
-        if vals[k] <= tol:
-            break
-        v = vecs[:, k]
-        pivot = v[np.argmax(np.abs(v))]
-        v = v * (np.conj(pivot) / abs(pivot))
-        ops.append(np.sqrt(vals[k]) * unvec(v, d))
-    return ops
+    keep = vals > tol
+    vals, cols = vals[keep][::-1], vecs.T[keep][::-1]
+    pivots = np.take_along_axis(cols, np.abs(cols).argmax(axis=1)[:, None], axis=1)
+    # np.hypot, not np.abs: on a complex array np.abs can round the modulus differently in the last bit
+    cols = cols * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
+    return list(np.sqrt(vals)[:, None, None] * unvec(cols, d))
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm = hermiticity_defect(arr)
     tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    min_eig = hermitian_eigvals(arr, np.inf)[..., 0]
+    min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
     cp_ok = (herm <= tol) & (min_eig >= -tol)
     verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
     fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)

@@ -16,6 +16,7 @@ to `channel to-probs`).
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -156,25 +157,24 @@ def _report_text(report: channelcore.CptpReport) -> str:
     )
 
 
-def _trajectory_csv(traj: kinetics.Trajectory, oracle) -> str:
-    """CSV text of a trajectory; an (n, 15) oracle adds columns o1..o15 and a max_dev line."""
+def _trajectory_csv(traj: kinetics.Trajectory, oracle):
+    """CSV lines of a trajectory, one at a time; an (n, 15) oracle adds columns o1..o15 and a max_dev line."""
     names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if oracle is None else [f"o{i}" for i in range(1, 16)])
-    row_format = ",".join(["%.17g"] * len(names))
+    yield ",".join(names) + "\n"
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
     oracle_rows = np.empty((len(traj.times), 0)) if oracle is None else oracle
-    rows = zip(traj.times.tolist(), traj.probs, oracle_rows)
-    lines = [",".join(names)] + [row_format % (t, *p.tolist(), *o.tolist()) for t, p, o in rows]
+    for t, p, o in zip(traj.times.tolist(), traj.probs, oracle_rows):
+        yield row_format % (t, *p.tolist(), *o.tolist())
     if oracle is not None:
-        lines.append("# max_dev=" + _fmt(np.max(np.abs(traj.probs - oracle))))
-    return "\n".join(lines + [""])
+        yield "# max_dev=" + _fmt(np.max(np.abs(traj.probs - oracle))) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
+def _write_text(path: str, chunks) -> None:
+    """Write an iterable of strings, one write() each, to path or to stdout for '-'."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
@@ -193,7 +193,7 @@ def cmd_state(args) -> int:
             p = stateprob.qubit_probs_from_density(m)
         else:
             p = stateprob.ququart_probs_from_density(m)
-        _write_text(args.output, _probs_text(p))
+        _write_text(args.output, [_probs_text(p)])
     else:
         p = _parse_probs_doc(text, 3 if args.dim == 2 else 15)
         if args.dim == 2:
@@ -206,7 +206,7 @@ def cmd_state(args) -> int:
             min_eig = float(hermitian_eigvals(rho)[0])
             if min_eig < -1e-12:
                 raise ValueError(f"probabilities describe a non-positive state: min eigenvalue {min_eig:.3e}")
-        _write_text(args.output, _matrix_text(rho))
+        _write_text(args.output, [_matrix_text(rho)])
     return 0
 
 
@@ -216,12 +216,12 @@ def cmd_channel(args) -> int:
     text = _read_text(args.input)
     if args.action == "check":
         report = channelcore.verify_cptp(_parse_choi_doc(text), args.tolerance)
-        _write_text(args.output, _report_text(report))
+        _write_text(args.output, [_report_text(report)])
     elif args.action == "choi-from-kraus":
         ops = _parse_kraus_doc(text)
         if ops[0].shape != (2, 2):
             raise FormatError("Kraus operators must be 2 x 2")
-        _write_text(args.output, _matrix_text(channelcore.choi_from_kraus(ops)))
+        _write_text(args.output, [_matrix_text(channelcore.choi_from_kraus(ops))])
     elif args.action == "to-probs":
         m = _parse_choi_doc(text)
         p = probchannel.probs_from_choi(m)
@@ -231,7 +231,7 @@ def cmd_channel(args) -> int:
                 f"Choi matrix trace is {_fmt(trace)}, not 2 within --tolerance; "
                 "fifteen probabilities fix only trace-2 matrices"
             )
-        _write_text(args.output, _probs_text(p))
+        _write_text(args.output, [_probs_text(p)])
     else:
         p = _parse_probs_doc(text, probchannel.N_PROBS)
         ok, residuals = probchannel.check_channel_prob_constraints(p, args.tolerance)
@@ -242,7 +242,7 @@ def cmd_channel(args) -> int:
             + f" ({status} at tolerance {_fmt(args.tolerance)})",
             file=sys.stderr,
         )
-        _write_text(args.output, _matrix_text(probchannel.choi_from_probs(p)))
+        _write_text(args.output, [_matrix_text(probchannel.choi_from_probs(p))])
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, hermitian_eigensystem, identity, kron, require_hermitian, rk4_step
+from .matcore import as_length, hermitian_part, identity, kron, require_hermitian, rk4_step
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -154,7 +154,7 @@ def oracle_probs(h, t) -> np.ndarray:
 
     t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
     """
-    vals, vecs = hermitian_eigensystem(validate_hamiltonian(h), 1e-12)
+    vals, vecs = np.linalg.eigh(hermitian_part(validate_hamiltonian(h)))
     times = np.asarray(t, dtype=float)
     phases = np.exp(-1j * vals * times.reshape(-1, 1, 1))
     v = ((vecs * phases) @ vecs.conj().T).reshape(-1, 4)

@@ -112,9 +112,8 @@ def hermiticity_defect(m):
     return np.abs(arr - _adjoint(arr)).max(axis=(-2, -1), initial=0.0)
 
 
-def _hermitian_part(m, tol: float) -> np.ndarray:
-    arr = require_hermitian(m, tol)
-    # average with the adjoint so the solver sees an exactly Hermitian input
+def hermitian_part(arr: np.ndarray) -> np.ndarray:
+    """(arr + arr^dagger) / 2, ungated: the exactly Hermitian input the eigensolvers are given."""
     return (arr + _adjoint(arr)) / 2.0
 
 
@@ -128,12 +127,12 @@ def hermitian_eigensystem(m, tol: float = 1e-10):
     Returns:
         (eigvals, eigvecs) with eigvecs[..., :, k] the vector for eigvals[..., k].
     """
-    return np.linalg.eigh(_hermitian_part(m, tol))
+    return np.linalg.eigh(hermitian_part(require_hermitian(m, tol)))
 
 
 def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix or of each matrix in a stack."""
-    return np.linalg.eigvalsh(_hermitian_part(m, tol))
+    return np.linalg.eigvalsh(hermitian_part(require_hermitian(m, tol)))
 
 
 def unitary_exp(h, t: float) -> np.ndarray:

@@ -46,6 +46,10 @@ def test_apply_kraus_rejects_mismatch():
         apply_kraus([], np.eye(2))
     with pytest.raises(ValueError):
         apply_kraus([identity(2), np.eye(3)], np.eye(2))
+    with pytest.raises(ValueError):
+        apply_kraus([np.stack([identity(2), PAULI_X])], np.eye(2))
+    with pytest.raises(ValueError):
+        apply_kraus([np.ones((2, 3))], np.eye(2))
 
 
 def test_choi_from_kraus_frozen_values():
@@ -96,6 +100,10 @@ def test_reshuffle_is_involution():
     for _ in range(20):
         m = complex_normal(rng, (4, 4))
         assert np.array_equal(choi_from_superop(superop_from_choi(m)), m)
+    stack = complex_normal(rng, (2, 3, 4, 4))
+    assert np.array_equal(choi_from_superop(superop_from_choi(stack)), stack)
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(superop_from_choi(stack)[index], superop_from_choi(stack[index]))
 
 
 def test_superop_hermiticity_preservation_condition():
@@ -157,6 +165,66 @@ def test_kraus_from_choi_rejects_non_cp():
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
         kraus_from_choi(skew)
+    with pytest.raises(ValueError, match=r"\(2, 4, 4\)"):
+        kraus_from_choi(np.stack([maximally_entangled_projector()] * 2))
+
+
+def _loop_apply_kraus(ops, rho):
+    out = np.zeros_like(rho)
+    for a in ops:
+        out += a @ rho @ a.conj().T
+    return out
+
+
+def _loop_kraus_tp_defect(ops):
+    acc = np.zeros_like(ops[0])
+    for a in ops:
+        acc += a.conj().T @ a
+    return float(np.max(np.abs(acc - np.eye(ops[0].shape[0]))))
+
+
+def _loop_choi_from_kraus(ops):
+    choi = np.zeros((ops[0].size, ops[0].size), dtype=complex)
+    for a in ops:
+        v = vec(a)
+        choi += np.outer(v, v.conj())
+    return choi
+
+
+def _loop_kraus_from_choi(choi, tol=1e-9):
+    vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    ops = []
+    for k in range(vals.size - 1, -1, -1):
+        if vals[k] <= tol:
+            break
+        v = vecs[:, k]
+        pivot = v[np.argmax(np.abs(v))]
+        v = v * (np.conj(pivot) / abs(pivot))
+        ops.append(np.sqrt(vals[k]) * v.reshape(2, 2))
+    return ops
+
+
+def test_stacked_kraus_matches_per_operator_loops():
+    """The stacked expressions against the per-operator loops they replaced.
+
+    Every third set and state is real with mixed signs, so the products
+    leave signed zeros in the imaginary parts. Bytes are compared, so
+    -0.0 != 0.0.
+    """
+    rng = np.random.default_rng(43)
+    for trial in range(600):
+        shape = (int(rng.integers(1, 5)), 2, 2)
+        draw = rng.standard_normal if trial % 3 == 0 else lambda size: complex_normal(rng, size)
+        raw, rho = draw(shape), draw((2, 2))
+        ops = list(raw.astype(complex))
+        assert apply_kraus(list(raw), rho).tobytes() == _loop_apply_kraus(ops, rho.astype(complex)).tobytes()
+        assert kraus_tp_defect(list(raw)) == _loop_kraus_tp_defect(ops)
+        choi = choi_from_kraus(list(raw))
+        assert choi.dtype == complex and choi.tobytes() == _loop_choi_from_kraus(ops).tobytes()
+        extracted, reference = kraus_from_choi(choi), _loop_kraus_from_choi(choi)
+        assert isinstance(extracted, list) and len(extracted) == len(reference)
+        for a, b in zip(extracted, reference):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
 def test_kraus_phase_convention_deterministic():

@@ -1,11 +1,24 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probchan.kinetics import evolve_probs, oracle_probs
+from probchan import cli
+from probchan.channelcore import choi_from_kraus
+from probchan.kinetics import MAX_STEPS, evolve_probs, oracle_probs
 from probchan.probchannel import identity_channel_probs
-from conftest import run_cli
+from conftest import (
+    random_bloch_probs,
+    random_channel_probs,
+    random_density,
+    random_hermitian,
+    random_tp_kraus,
+    run_cli,
+)
 
 
 def matrix_doc(m):
@@ -356,3 +369,136 @@ def test_unwritable_output_exits_1(tmp_path):
         result = run_cli(args)
         assert result.returncode == 1
         assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# property-based corpus: mutated documents and flag edge values, in process
+
+VALID_DOCS = {
+    "matrix2": lambda rng: matrix_doc(random_density(rng, 2)),
+    "matrix4": lambda rng: matrix_doc(random_density(rng, 4)),
+    "choi": lambda rng: matrix_doc(choi_from_kraus(random_tp_kraus(rng, int(rng.integers(1, 5))))),
+    "kraus": lambda rng: kraus_doc(random_tp_kraus(rng, int(rng.integers(1, 5)))),
+    "probs3": lambda rng: probs_doc(random_bloch_probs(rng)),
+    "probs15": lambda rng: probs_doc(random_channel_probs(rng)),
+    "hamiltonian": lambda rng: matrix_doc(random_hermitian(rng, 2)),
+}
+ACTIONS = [
+    (["state", "to-probs", "--dim", "2"], "matrix2"),
+    (["state", "to-probs", "--dim", "4"], "matrix4"),
+    (["state", "from-probs", "--dim", "2"], "probs3"),
+    (["state", "from-probs", "--dim", "4"], "probs15"),
+    (["channel", "check"], "choi"),
+    (["channel", "choi-from-kraus"], "kraus"),
+    (["channel", "to-probs"], "choi"),
+    (["channel", "from-probs"], "probs15"),
+]
+HOSTILE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, 1, -0.0, 1.0 + 2.0**-52, 5e-324, True, None, "0.5", [], [0.5, 0], {}, 3, 16]),
+)
+TOLERANCES = ["0", "-0", "1e-9", "1", "5e-324", "1e308", "nan", "inf", "-inf", "-1"]
+T_MAX = ["1", "0.25", "1e-3", "0", "-1", "nan", "inf", "1e308", "5e-324"]
+DT = ["0.01", "0.3", "1e-3", "0", "-0.1", "nan", "inf", "5e-324", "2", "1e-7"]
+# half the grids from the valid head of both lists, so evolve also runs to the end
+GRIDS = st.one_of(
+    st.tuples(st.sampled_from(T_MAX[:3]), st.sampled_from(DT[:3])),
+    st.tuples(st.sampled_from(T_MAX), st.sampled_from(DT)),
+)
+
+
+def _few_steps(grid):
+    """False for a valid grid of more than 1,000 steps; over-cap and invalid grids are refused early."""
+    t_max, dt = map(float, grid)
+    return not (0.0 < dt <= t_max < np.inf and 1000 < t_max / dt <= MAX_STEPS)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def documents(draw, kind):
+    """A valid document of kind (one in five of any kind), often mutated as a JSON tree and then as text."""
+    if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.sampled_from(sorted(VALID_DOCS)))
+    doc = json.loads(VALID_DOCS[kind](np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(HOSTILE_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(HOSTILE_VALUES)
+    text = json.dumps(doc)
+    mutation = draw(st.sampled_from(["none"] * 12 + ["truncate", "garbage", "not-utf-8", "deep"]))
+    if mutation == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if mutation == "garbage":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.text(max_size=4)) + text[at:]
+    if mutation == "not-utf-8":
+        return text.encode() + b"\xff\xfe"
+    if mutation == "deep":
+        depth = draw(st.sampled_from([1, 100, 100_000]))
+        return "[" * depth + text + "]" * depth
+    return text
+
+
+@st.composite
+def cli_runs(draw, workdir):
+    """argv for one state, channel or evolve run, plus the input files it names."""
+    files = {}
+
+    def put(name, text):
+        files[workdir / name] = text
+        return str(workdir / name)
+
+    output = draw(st.sampled_from(["-"] * 5 + [str(workdir / "missing" / "out")]))
+    if draw(st.integers(0, 9)) < 8:
+        action, kind = draw(st.sampled_from(ACTIONS))
+        argv = [*action, put("doc.json", draw(documents(kind))), "-o", output]
+        if action[0] == "channel" and draw(st.booleans()):
+            argv.append(f"--tolerance={draw(st.sampled_from(TOLERANCES))}")
+        return argv, files
+    t_max, dt = draw(GRIDS.filter(_few_steps))
+    argv = ["evolve", "--hamiltonian", put("h.json", draw(documents("hamiltonian"))), f"--t-max={t_max}"]
+    argv += [f"--dt={dt}", "--output", output]
+    if draw(st.booleans()):
+        argv += ["--initial", put("p0.json", draw(documents("probs15")))]
+    if draw(st.booleans()):
+        argv.append("--oracle")
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus")
+
+
+def test_cli_contract_on_generated_inputs(corpus_dir):
+    """Every run exits 0, 1 or 2, prints one error: line exactly when it fails, and raises nothing."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(cli_runs(corpus_dir))
+    def check(run):
+        argv, files = run
+        for path, text in files.items():
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert code in (0, 1, 2)
+        assert len(errors) == (code != 0), (argv, err.getvalue())
+
+    check()
