@@ -157,16 +157,26 @@ def _report_text(report: channelcore.CptpReport) -> str:
     )
 
 
-def _trajectory_csv(traj: kinetics.Trajectory, oracle):
-    """CSV lines of a trajectory, one at a time; an (n, 15) oracle adds columns o1..o15 and a max_dev line."""
-    names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if oracle is None else [f"o{i}" for i in range(1, 16)])
+def _trajectory_csv(blocks, h):
+    """CSV lines of a trajectory given as (times, probs) blocks, one string per block.
+
+    With a Hamiltonian h (not None) each block gains the columns o1..o15 of
+    oracle_probs at its times, and a last line gives max_dev, the largest
+    |p - o| over all blocks.
+    """
+    names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if h is None else [f"o{i}" for i in range(1, 16)])
     yield ",".join(names) + "\n"
     row_format = ",".join(["%.17g"] * len(names)) + "\n"
-    oracle_rows = np.empty((len(traj.times), 0)) if oracle is None else oracle
-    for t, p, o in zip(traj.times.tolist(), traj.probs, oracle_rows):
-        yield row_format % (t, *p.tolist(), *o.tolist())
-    if oracle is not None:
-        yield "# max_dev=" + _fmt(np.max(np.abs(traj.probs - oracle))) + "\n"
+    max_dev = 0.0
+    for times, probs in blocks:
+        columns = [times[:, None], probs]
+        if h is not None:
+            oracle = kinetics.oracle_probs(h, times)
+            max_dev = np.maximum(max_dev, np.max(np.abs(probs - oracle)))
+            columns.append(oracle)
+        yield (row_format * len(times)) % tuple(np.hstack(columns).ravel().tolist())
+    if h is not None:
+        yield "# max_dev=" + _fmt(max_dev) + "\n"
 
 
 def _write_text(path: str, chunks) -> None:
@@ -259,8 +269,8 @@ def cmd_evolve(args) -> int:
     else:
         p0 = _parse_probs_doc(_read_text(args.initial), probchannel.N_PROBS)
 
-    traj = kinetics.evolve_probs(h, p0, args.t_max, args.dt)
-    _write_text(args.output, _trajectory_csv(traj, kinetics.oracle_probs(h, traj.times) if args.oracle else None))
+    blocks = kinetics.evolve_blocks(h, p0, args.t_max, args.dt)
+    _write_text(args.output, _trajectory_csv(blocks, h if args.oracle else None))
     return 0
 
 

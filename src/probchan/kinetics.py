@@ -30,6 +30,7 @@ __all__ = [
     "validate_hamiltonian",
     "build_q",
     "build_generator",
+    "evolve_blocks",
     "evolve_probs",
     "oracle_probs",
     "compare_to_oracle",
@@ -37,6 +38,7 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-12
 MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocated
+_BLOCK = 1024  # samples per evolve_blocks block
 
 
 def validate_hamiltonian(h) -> np.ndarray:
@@ -101,13 +103,19 @@ class Trajectory:
     dt: float
 
 
-def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
-    """Integrate the kinetic equation from p0 over [0, t_max].
+def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
+    """Run every check now, then return an iterator of (times, probs) blocks.
 
-    Samples at every RK4 step; a shorter final step lands exactly on t_max
-    when dt does not divide it. G and g are purely imaginary, so one RK4
-    step of the real system dP/dt = Im(G) P + Im(g) is an affine map
-    P -> M P + m, built once by applying rk4_step to the identity and to 0.
+    The checks (Hamiltonian, channel constraints on p0, time grid, exactly
+    zero real part of G and g) raise ValueError in this call, before any
+    block exists. Block k holds samples k * _BLOCK up to (k + 1) * _BLOCK - 1,
+    shapes (b,) and (b, 15), so memory stays bounded whatever t_max / dt is.
+
+    G and g are purely imaginary, so one RK4 step of the real system
+    dP/dt = Im(G) P + Im(g) is an affine map P -> M P + m, built by applying
+    rk4_step to the identity and to 0. Whole steps come from precomputed
+    powers, P[k + j] = M^j P[k] + s_j; a shorter final step lands exactly on
+    t_max when dt does not divide it.
 
     Args:
         h: 2 x 2 Hermitian matrix.
@@ -135,18 +143,53 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
 
     n_whole = int(np.floor(ratio * (1.0 + 4.0 * np.finfo(float).eps)))
     remainder = t_max - n_whole * dt
-    short_step = remainder > 1e-9 * dt
+    n = n_whole + 1 + (remainder > 1e-9 * dt)
+    powers, shifts = _affine_powers(step, shift, min(_BLOCK, n_whole))
+    flat = powers.reshape(-1, N_PROBS)
 
-    probs = np.empty((n_whole + 1 + short_step, N_PROBS))
-    probs[0] = p
-    for k in range(n_whole):
-        probs[k + 1] = step @ probs[k] + shift
-    if short_step:
-        probs[-1] = rk4_step(deriv, probs[-2], n_whole * dt, remainder)
-    times = np.arange(len(probs)) * dt
-    times[-1] = t_max
+    def blocks():
+        last = p
+        for start in range(0, n, _BLOCK):
+            times = np.arange(start, min(start + _BLOCK, n)) * dt
+            block = stepped = np.empty((len(times), N_PROBS))
+            if start == 0:
+                block[0] = p
+                stepped = block[1:]
+            whole = min(len(stepped), n_whole + 1 - max(start, 1))  # samples of whole steps
+            stepped[:whole] = (flat[: whole * N_PROBS] @ last).reshape(whole, N_PROBS) + shifts[:whole]
+            if whole < len(stepped):  # the shorter final step
+                stepped[-1] = rk4_step(deriv, stepped[whole - 1] if whole else last, n_whole * dt, remainder)
+            if start + len(times) == n:
+                times[-1] = t_max
+            last = block[-1]
+            yield times, block
 
-    return Trajectory(times=times, probs=probs, dt=dt)
+    return blocks()
+
+
+def _affine_powers(step: np.ndarray, shift: np.ndarray, n: int):
+    """M^1..M^n and s_1..s_n of the affine map P -> M P + m, by doubling.
+
+    (M^j, s_j) after (M^k, s_k) is (M^j M^k, M^j s_k + s_j), so each round
+    extends the k entries known so far by up to k more in one matmul.
+    """
+    powers, shifts = step[None], shift[None]
+    while len(powers) < n:
+        k = min(len(powers), n - len(powers))
+        flat = powers[:k].reshape(-1, N_PROBS)
+        powers = np.concatenate([powers, (flat @ powers[-1]).reshape(k, N_PROBS, N_PROBS)])
+        shifts = np.concatenate([shifts, (flat @ shifts[-1]).reshape(k, N_PROBS) + shifts[:k]])
+    return powers, shifts
+
+
+def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
+    """The blocks of evolve_blocks, same arguments, concatenated into one Trajectory.
+
+    A sample at every RK4 step, and at t_max after a shorter final step when
+    dt does not divide it. Memory grows with t_max / dt.
+    """
+    times, probs = zip(*evolve_blocks(h, p0, t_max, dt))
+    return Trajectory(times=np.concatenate(times), probs=np.concatenate(probs), dt=dt)
 
 
 def oracle_probs(h, t) -> np.ndarray:

@@ -1,15 +1,16 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probchan import cli
+from probchan import cli, kinetics
 from probchan.channelcore import choi_from_kraus
-from probchan.kinetics import MAX_STEPS, evolve_probs, oracle_probs
+from probchan.kinetics import _BLOCK, MAX_STEPS, evolve_probs, oracle_probs
 from probchan.probchannel import identity_channel_probs
 from conftest import (
     random_bloch_probs,
@@ -355,6 +356,71 @@ def test_evolve_oracle_rows_match_per_cell_formatting(tmp_path):
     ]
     assert lines[-2] == "# max_dev=%.17g" % np.max(np.abs(traj.probs - oracle))
     assert lines[-1] == ""
+
+
+def test_evolve_oracle_rows_match_per_cell_formatting_over_blocks(tmp_path):
+    h = np.array([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])
+    h_path = write(tmp_path, "h.json", matrix_doc(h))
+    out = tmp_path / "traj.csv"
+    # the oracle columns are those of the identity start, so from this p0 the largest |p - o| is in block 0
+    p0 = random_channel_probs(np.random.default_rng(2))
+    for initial, start in (("identity", identity_channel_probs()), (write(tmp_path, "p0.json", probs_doc(p0)), p0)):
+        # 3,033 whole steps and a shorter last one: 3,035 samples, three blocks
+        argv = ["evolve", "--hamiltonian", h_path, "--t-max", "9.1", "--dt", "0.003", "--oracle", "--initial", initial]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        traj = evolve_probs(h, start, 9.1, 0.003)
+        assert len(traj.times) > 2 * _BLOCK and traj.times[-1] - traj.times[-2] < 0.003
+        oracle = oracle_probs(h, traj.times)
+        lines = out.read_text().split("\n")
+        assert lines[1:-2] == [
+            ",".join("%.17g" % x for x in [t, *row, *ref]) for t, row, ref in zip(traj.times, traj.probs, oracle)
+        ]
+        deviation = np.max(np.abs(traj.probs - oracle), axis=1)
+        assert lines[-2] == "# max_dev=%.17g" % np.max(deviation)
+        assert lines[-1] == ""
+    assert np.argmax(deviation) < _BLOCK
+
+
+def test_refused_evolve_writes_no_file(tmp_path, monkeypatch, capsys):
+    good_h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
+    bad_h = write(tmp_path, "bh.json", matrix_doc(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    flat = write(tmp_path, "flat.json", probs_doc([0.5] * 15))
+    out = tmp_path / "out.csv"
+    refused = [
+        (["--hamiltonian", good_h, "--t-max", "1", "--initial", flat], 2),
+        (["--hamiltonian", bad_h, "--t-max", "1"], 1),
+        (["--hamiltonian", good_h, "--t-max", "10", "--dt", "5e-324"], 1),
+    ]
+    for args, code in refused:
+        assert cli.main(["evolve", *args, "--oracle", "--output", str(out)]) == code
+        assert not out.exists()
+
+    # a generator with a real part, which no qubit Hamiltonian gives, is refused before output too
+    build_generator = kinetics.build_generator
+
+    def real_part(h):
+        gen = build_generator(h)
+        return kinetics.KineticGenerator(Q=gen.Q, G=gen.G + 1e-300, g=gen.g)
+
+    monkeypatch.setattr(kinetics, "build_generator", real_part)
+    assert cli.main(["evolve", "--hamiltonian", good_h, "--t-max", "1", "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error: ") == len(refused) + 1
+
+
+def test_evolve_memory_stays_flat(tmp_path):
+    h_path = write(tmp_path, "h.json", matrix_doc(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    out = str(tmp_path / "traj.csv")
+    peaks = []
+    for steps in (3 * _BLOCK, 30 * _BLOCK):
+        argv = ["evolve", "--hamiltonian", h_path, "--t-max", repr(steps * 1e-3), "--dt", "1e-3", "--oracle"]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--output", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_unwritable_output_exits_1(tmp_path):

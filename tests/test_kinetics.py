@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from probchan.kinetics import (
+    _BLOCK,
     MAX_STEPS,
     build_generator,
     build_q,
     compare_to_oracle,
+    evolve_blocks,
     evolve_probs,
     oracle_probs,
     validate_hamiltonian,
@@ -140,27 +142,30 @@ def test_evolve_sigma_x_half_pi():
 
 def test_evolve_rejects_bad_inputs():
     p0 = identity_channel_probs()
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, p0, -1.0)
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, p0, 0.0)
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, p0, 1.0, dt=2.0)
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, p0, 1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, np.full(15, 0.5), 1.0)  # violates p1 + p3 = 3/2
-    with pytest.raises(ValueError):
-        evolve_probs(PAULI_Z, p0[:14], 1.0)
-    with pytest.raises(ValueError):
-        evolve_probs(np.array([[0.0, 1.0], [0.0, 0.0]]), p0, 1.0)
+    # evolve_blocks raises in the call itself, before any block is asked for
+    for evolve in (evolve_probs, evolve_blocks):
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, p0, -1.0)
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, p0, 0.0)
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, p0, 1.0, dt=2.0)
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, p0, 1.0, dt=0.0)
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, np.full(15, 0.5), 1.0)  # violates p1 + p3 = 3/2
+        with pytest.raises(ValueError):
+            evolve(PAULI_Z, p0[:14], 1.0)
+        with pytest.raises(ValueError):
+            evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), p0, 1.0)
 
 
 def test_evolve_rejects_step_counts_over_the_cap():
     p0 = identity_channel_probs()
-    for t_max, dt in ((10.0, 5e-324), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-3)):
-        with pytest.raises(ValueError, match="exceeds"):
-            evolve_probs(PAULI_Z, p0, t_max, dt)
+    for evolve in (evolve_probs, evolve_blocks):
+        for t_max, dt in ((10.0, 5e-324), (1.0, 0.5 / MAX_STEPS), (1e300, 1e-3)):
+            with pytest.raises(ValueError, match="exceeds"):
+                evolve(PAULI_Z, p0, t_max, dt)
 
 
 def test_generator_real_part_is_exactly_zero():
@@ -183,12 +188,53 @@ def test_precomputed_step_matches_complex_rk4():
 
         y = p0
         reference = [p0]
-        for k in range(1000):
+        for k in range(3500):
             y = rk4_step(deriv, y, k * 1e-3, 1e-3).real
             reference.append(y)
-        traj = evolve_probs(h, p0, 1.0, 1e-3)
-        assert traj.probs.shape == (1001, 15)
+        traj = evolve_probs(h, p0, 3.5, 1e-3)
+        assert traj.probs.shape == (3501, 15)
         assert np.max(np.abs(traj.probs - np.array(reference))) <= 1e-12
+
+
+def sequential_trajectory(h, p0, n_whole, dt, remainder):
+    """The per-step loop P[k + 1] = M P[k] + m, then one RK4 step of length remainder when it is positive."""
+    gen = build_generator(h)
+    k_mat, k_vec = gen.G.imag, gen.g.imag
+
+    def deriv(_t, y):
+        return k_mat @ y + k_vec
+
+    step = rk4_step(lambda _t, y: k_mat @ y, np.eye(15), 0.0, dt)
+    shift = rk4_step(deriv, np.zeros(15), 0.0, dt)
+    probs = [p0]
+    for _ in range(n_whole):
+        probs.append(step @ probs[-1] + shift)
+    if remainder:
+        probs.append(rk4_step(deriv, probs[-1], n_whole * dt, remainder))
+    return np.array(probs)
+
+
+def test_blocks_match_sequential_steps_across_block_boundaries():
+    rng = np.random.default_rng(69)
+    dt = 1e-3
+    grids = [(n, 0.0) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17)]
+    # a shorter final step; in the first two grids it is the first sample of a block (n_whole + 1 = 0 mod _BLOCK)
+    grids += [(_BLOCK - 1, 0.4 * dt), (2 * _BLOCK - 1, 0.7 * dt), (_BLOCK + 5, 0.5 * dt)]
+    for n_whole, remainder in grids:
+        h = random_hermitian(rng, 2, norm=float(rng.uniform(1.0, 5.0)))
+        p0 = random_channel_probs(rng)
+        t_max = n_whole * dt + remainder
+        blocks = list(evolve_blocks(h, p0, t_max, dt))
+        n = n_whole + 1 + (remainder > 0)
+        assert [len(t) for t, _ in blocks] == [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
+        traj = evolve_probs(h, p0, t_max, dt)
+        assert np.array_equal(traj.times, np.concatenate([t for t, _ in blocks]))
+        assert np.array_equal(traj.probs, np.concatenate([p for _, p in blocks]))
+        assert traj.times[-1] == t_max and np.array_equal(traj.times[:-1], np.arange(n - 1) * dt)
+        assert np.array_equal(traj.probs[0], p0)
+        reference = sequential_trajectory(h, p0, n_whole, dt, t_max - n_whole * dt if remainder else 0.0)
+        assert traj.probs.shape == reference.shape
+        assert np.max(np.abs(traj.probs - reference)) <= 1e-12
 
 
 def test_batched_oracle_matches_per_time_closed_form():
