@@ -205,7 +205,7 @@ def cmd_state(args) -> int:
             p = stateprob.ququart_probs_from_density(m)
         _write_text(args.output, [_probs_text(p)])
     else:
-        p = _parse_probs_doc(text, 3 if args.dim == 2 else 15)
+        p = _parse_probs_doc(text, args.dim**2 - 1)
         if args.dim == 2:
             valid, margin = stateprob.qubit_bloch_check(p)
             if not valid:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, hermitian_part, identity, kron, require_hermitian, rk4_step
+from .matcore import as_length, identity, kron, require_hermitian, rk4_step, unitary_exp
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -197,10 +197,8 @@ def oracle_probs(h, t) -> np.ndarray:
 
     t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
     """
-    vals, vecs = np.linalg.eigh(hermitian_part(validate_hamiltonian(h)))
     times = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * vals * times.reshape(-1, 1, 1))
-    v = ((vecs * phases) @ vecs.conj().T).reshape(-1, 4)
+    v = unitary_exp(validate_hamiltonian(h), times.reshape(-1)).reshape(-1, 4)
     return probs_from_choi(v[:, :, None] * v[:, None, :].conj()).reshape(times.shape + (N_PROBS,))
 
 

@@ -71,7 +71,7 @@ def as_length(v, n: int, what: str = "probabilities", dtype=float) -> np.ndarray
 
 def require_range(p: np.ndarray) -> np.ndarray:
     """p itself when every entry lies in [0, 1], else ValueError naming the first that does not."""
-    outside = p[(p < 0.0) | (p > 1.0)]
+    outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
     if outside.size:
         raise ValueError(f"probability {outside[0]!r} lies outside [0, 1]")
     return p
@@ -81,7 +81,7 @@ def require_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
     """as_square(m), after checking that every matrix in it is Hermitian within tol entrywise."""
     arr = as_square(m, what)
     defect = hermiticity_defect(arr).max(initial=0.0)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
     return arr
 
@@ -135,10 +135,14 @@ def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(require_hermitian(m, tol)))
 
 
-def unitary_exp(h, t: float) -> np.ndarray:
-    """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack)."""
+def unitary_exp(h, t) -> np.ndarray:
+    """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack).
+
+    t is a time or an array of times; its shape broadcasts against the stack
+    shape of h, so one h at n times gives shape (n, d, d).
+    """
     vals, vecs = hermitian_eigensystem(h, 1e-12)
-    phases = np.exp(-1j * vals * float(t))
+    phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ _adjoint(vecs)
 
 

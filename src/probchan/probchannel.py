@@ -22,7 +22,7 @@ to three scalar constraints on the probabilities:
 
 import numpy as np
 
-from .matcore import as_length, as_square
+from .matcore import as_length, as_square, identity, vec
 from .stateprob import N_PROBS, AffineConstants, affine_choi, affine_probs, build_constants
 
 __all__ = [
@@ -46,7 +46,7 @@ def probs_from_choi(choi, imag_tol: float = 1e-9) -> np.ndarray:
     """
     raw = affine_probs(as_length(as_square(choi, "Choi matrix"), 4, "Choi matrix columns", complex))
     residue = np.abs(raw.imag).max(initial=0.0)
-    if residue > imag_tol:
+    if not residue <= imag_tol:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")
     return raw.real.copy()
 
@@ -86,7 +86,6 @@ def check_channel_prob_constraints(probs, tol: float = 1e-9) -> tuple[bool, np.n
 
 
 def identity_channel_probs() -> np.ndarray:
-    """Probability vector of the identity channel: p1 = p2 = p8 = 1, p3 = 1/2, rest 1/2."""
-    p = np.full(N_PROBS, 0.5)
-    p[0] = p[1] = p[7] = 1.0
-    return p
+    """Probability vector of the identity channel, D = vec(I) vec(I)^dagger: p1 = p2 = p8 = 1, rest 1/2."""
+    v = vec(identity(2))
+    return probs_from_choi(np.outer(v, v.conj()))

@@ -1,28 +1,28 @@
-"""Probability parametrizations of qubit and ququart density matrices.
+"""Probability parametrizations of qudit density matrices: one layout rule for every dimension.
 
-A qubit state is pinned by three spin-projection probabilities (z, x, y
-measurement outcomes +1/2):
+An n x n density matrix rho is fixed by n*n - 1 coin (dichotomic)
+probabilities. The diagonal takes p_{k-1} = 1 - rho_kk for k >= 1 and
+rho_00 = p_0 + ... + p_{n-2} - (n - 2); the off-diagonal entries come in
+(real, imaginary) pairs, in row-major order over the upper triangle,
+
+    rho_rc = (p_re - 1/2) - i(p_im - 1/2),   r < c.
+
+The qubit is the n = 2 case, three spin-up probabilities along z, x, y:
 
     rho = [[ p1,                (p2 - 1/2) - i(p3 - 1/2) ],
            [ (p2 - 1/2) + i(p3 - 1/2),            1 - p1 ]]
 
-A ququart (two-qubit) state takes fifteen probabilities: p1..p3 fix the
-diagonal through rho_11 = p1 + p2 + p3 - 2, rho_kk = 1 - p_{k-1}, and the
-six independent off-diagonal entries come in (real, imaginary) pairs
-
-    rho_rc = (p_re - 1/2) - i(p_im - 1/2),   r < c,
-
-with the pairing given by OFFDIAG_PROB_PAIRS. The same fifteen numbers
-regroup into one four-outcome distribution plus twelve dichotomic ones,
-which is the physical reading of the parametrization.
-
-build_constants writes this layout once, as the two exact affine maps
-between P and vec(D) for D = 2 rho; the ququart conversions here and the
-channel dictionary of probchannel both apply those maps.
+The ququart is the n = 4 case, whose fifteen numbers regroup into one
+four-outcome distribution plus twelve dichotomic ones; OFFDIAG_PROB_PAIRS
+is its pairing. build_constants(n) writes the rule as the two exact affine
+maps between P and vec(D) for D = 2 rho, which the conversions here and
+the channel dictionary of probchannel apply. Conventions follow Wood,
+Biamonte and Cory, arXiv:1111.6950.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -57,17 +57,14 @@ __all__ = [
 N_PROBS = 15
 _DIM = 4
 
-# (row, col, real-prob index, imaginary-prob index), everything 0-based.
-# Row/col address the upper triangle of the 4 x 4 matrix; the probability
-# indices address the 15-vector.
-OFFDIAG_PROB_PAIRS = (
-    (0, 1, 3, 4),
-    (0, 2, 5, 6),
-    (0, 3, 7, 8),
-    (1, 2, 9, 10),
-    (1, 3, 11, 12),
-    (2, 3, 13, 14),
-)
+
+def _offdiag_pairs(n: int) -> tuple:
+    """(row, col, real-prob index, imaginary-prob index), 0-based, for r < c after the n - 1 diagonal probabilities."""
+    upper = [(r, c) for r in range(n) for c in range(r + 1, n)]
+    return tuple((r, c, n - 1 + 2 * k, n + 2 * k) for k, (r, c) in enumerate(upper))
+
+
+OFFDIAG_PROB_PAIRS = _offdiag_pairs(_DIM)
 
 
 @dataclass(frozen=True)
@@ -80,36 +77,35 @@ class AffineConstants:
     choi_offset: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def build_constants() -> AffineConstants:
-    """Construct the affine constants of the layout above and validate the exact identities.
+@lru_cache(maxsize=None)
+def build_constants(n: int = _DIM) -> AffineConstants:
+    """The affine constants of the layout rule for n x n matrices, cached per n.
 
-    With D twice a ququart density matrix (the Choi matrix of a qubit
-    channel), P = prob_matrix . vec(D) + prob_offset and
-    vec(D) = choi_matrix . P + choi_offset. The probability side takes -1/2
-    at the diagonal vec positions 5, 10, 15 (offset 1), and 1/4 at the
-    paired off-diagonal positions (real part) or +-i/4 (imaginary part,
-    offset 1/2). The inverse writes each vec(D) component back from at most
-    three probabilities with entries in {2, -2, +-2i} and offsets
-    {-4, 2, -1+-i}.
+    With D = 2 rho (for n = 4, the Choi matrix of a qubit channel),
+    P = prob_matrix . vec(D) + prob_offset and vec(D) = choi_matrix . P + choi_offset.
+    The probability side has entries -1/2, 1/4 and +-i/4 with offsets 1 and
+    1/2; the inverse has 2, -2 and +-2i with offsets -2(n - 2), 2 and -1+-i.
+    All are exact in binary, so the compatibility identities hold exactly.
 
-    Raises RuntimeError if the compatibility identities fail to hold
-    exactly, which would mean the tables above were corrupted.
+    Raises ValueError for n < 2, and RuntimeError if the identities fail.
     """
-    a = np.zeros((N_PROBS, _DIM * _DIM), dtype=complex)
-    b = np.zeros(N_PROBS)
-    bm = np.zeros((_DIM * _DIM, N_PROBS), dtype=complex)
-    c_off = np.zeros(_DIM * _DIM, dtype=complex)
-    bm[0, :3] = 2.0
-    c_off[0] = -4.0
-    for i, k in enumerate((1, 2, 3)):
-        diag = k * _DIM + k
-        a[i, diag] = -0.5
-        b[i] = 1.0
-        bm[diag, i] = -2.0
+    if n < 2:
+        raise ValueError(f"layout dimension must be at least 2, got {n!r}")
+    size = n * n
+    a = np.zeros((size - 1, size), dtype=complex)
+    b = np.zeros(size - 1)
+    bm = np.zeros((size, size - 1), dtype=complex)
+    c_off = np.zeros(size, dtype=complex)
+    bm[0, : n - 1] = 2.0
+    c_off[0] = 2.0 * (2 - n)
+    for k in range(1, n):
+        diag = k * n + k
+        a[k - 1, diag] = -0.5
+        b[k - 1] = 1.0
+        bm[diag, k - 1] = -2.0
         c_off[diag] = 2.0
-    for r, c, re_i, im_i in OFFDIAG_PROB_PAIRS:
-        pair = [r * _DIM + c, c * _DIM + r]  # vec positions of the upper and lower entry
+    for r, c, re_i, im_i in _offdiag_pairs(n):
+        pair = [r * n + c, c * n + r]  # vec positions of the upper and lower entry
         a[re_i, pair] = 0.25
         a[im_i, pair] = 0.25j, -0.25j
         b[[re_i, im_i]] = 0.5
@@ -117,9 +113,9 @@ def build_constants() -> AffineConstants:
         bm[pair, im_i] = -2.0j, 2.0j
         c_off[pair] = -1.0 + 1.0j, -1.0 - 1.0j
 
-    if not np.array_equal(a @ bm, np.eye(N_PROBS, dtype=complex)):
+    if not np.array_equal(a @ bm, np.eye(size - 1, dtype=complex)):
         raise RuntimeError("affine constants corrupt: prob_matrix . choi_matrix != I exactly")
-    if not np.array_equal(a @ c_off + b, np.zeros(N_PROBS, dtype=complex)):
+    if not np.array_equal(a @ c_off + b, np.zeros(size - 1, dtype=complex)):
         raise RuntimeError("affine constants corrupt: prob_matrix . choi_offset + prob_offset != 0 exactly")
 
     for arr in (a, b, bm, c_off):
@@ -134,15 +130,16 @@ def _affine(matrix: np.ndarray, offset: np.ndarray, x: np.ndarray) -> np.ndarray
 
 
 def affine_probs(d: np.ndarray) -> np.ndarray:
-    """prob_matrix . vec(D) + prob_offset for a (..., 4, 4) stack; complex, unchecked."""
-    k = build_constants()
+    """prob_matrix . vec(D) + prob_offset for a (..., n, n) stack, n from the last axis; complex, unchecked."""
+    k = build_constants(d.shape[-1])
     return _affine(k.prob_matrix, k.prob_offset, vec(d))
 
 
 def affine_choi(p: np.ndarray) -> np.ndarray:
-    """unvec(choi_matrix . P + choi_offset) for a real (..., 15) stack; unchecked."""
-    k = build_constants()
-    return unvec(_affine(k.choi_matrix, k.choi_offset, p), _DIM)
+    """unvec(choi_matrix . P + choi_offset) for a real (..., n*n - 1) stack; unchecked."""
+    n = isqrt(p.shape[-1] + 1)
+    k = build_constants(n)
+    return unvec(_affine(k.choi_matrix, k.choi_offset, p), n)
 
 
 def _as_probs(p, n: int) -> np.ndarray:
@@ -155,29 +152,27 @@ def _require_density(rho, dim: int, tol: float) -> np.ndarray:
         raise ValueError(f"expected a {dim} x {dim} matrix, got shape {arr.shape}")
     require_hermitian(arr, tol, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
-    if trace_err > tol:
+    if not trace_err <= tol:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
     return arr
 
 
 def qubit_density_from_probs(probs) -> np.ndarray:
-    """Build the 2 x 2 density matrix from (p1, p2, p3).
+    """Build the 2 x 2 density matrix from (p1, p2, p3), or one per row of a (..., 3) stack.
 
     Components must lie in [0, 1]; no positivity check is made here, use
     qubit_bloch_check for that.
     """
-    p1, p2, p3 = _as_probs(probs, 3).reshape(3)
-    off = (p2 - 0.5) - 1j * (p3 - 0.5)
-    return np.array([[p1, off], [np.conj(off), 1.0 - p1]], dtype=complex)
+    return affine_choi(_as_probs(probs, 3)) / 2.0
 
 
 def qubit_probs_from_density(rho, tol: float = 1e-10) -> np.ndarray:
-    """Read (p1, p2, p3) back off a Hermitian trace-1 matrix.
+    """Read (p1, p2, p3) back off a Hermitian trace-1 matrix, p1 = 1 - rho_11.
 
-    Exact left inverse of qubit_density_from_probs.
+    Left inverse of qubit_density_from_probs; p1 = 1 - (1 - p1) can round in
+    its last bit when p1 < 1/2.
     """
-    arr = _require_density(rho, 2, tol)
-    return np.array([arr[0, 0].real, 0.5 + arr[1, 0].real, 0.5 + arr[1, 0].imag])
+    return affine_probs(2.0 * _require_density(rho, 2, tol)).real.copy()
 
 
 def qubit_bloch_check(probs) -> tuple[bool, float]:
@@ -207,7 +202,7 @@ def tomogram(rho, direction, tol: float = 1e-10) -> float:
     if n.shape != (3,):
         raise ValueError(f"expected a 3-component direction, got shape {n.shape}")
     norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, norm is {norm!r}")
     projector = 0.5 * (identity(2) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
     return float(np.trace(arr @ projector).real)
@@ -221,7 +216,8 @@ def ququart_density_from_probs(probs) -> np.ndarray:
 def ququart_probs_from_density(rho, tol: float = 1e-10) -> np.ndarray:
     """Read the 15 probabilities back off a Hermitian trace-1 matrix.
 
-    Exact left inverse of ququart_density_from_probs.
+    Left inverse of ququart_density_from_probs; p1..p3 = 1 - rho_kk can
+    round in their last bit below 1/2.
     """
     return affine_probs(2.0 * _require_density(rho, _DIM, tol)).real.copy()
 

@@ -9,11 +9,16 @@ from probchan.matcore import (
     hermitian_eigvals,
     identity,
     kron,
+    require_hermitian,
+    require_range,
     rk4_step,
     unitary_exp,
     unvec,
     vec,
 )
+from probchan.kinetics import evolve_blocks
+from probchan.probchannel import identity_channel_probs, probs_from_choi
+from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_density, tomogram
 from conftest import complex_normal, random_hermitian
 
 
@@ -110,6 +115,19 @@ def test_unitary_exp_is_unitary():
         assert np.max(np.abs(u @ u.conj().T - identity(2))) < 1e-13
 
 
+def test_unitary_exp_over_an_array_of_times():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        h = random_hermitian(rng, 2, norm=rng.uniform(0.2, 5.0))
+        times = rng.uniform(-10.0, 10.0, 7)
+        u = unitary_exp(h, times)
+        assert u.shape == (7, 2, 2)
+        for t, u_t in zip(times, u):
+            assert np.array_equal(u_t, unitary_exp(h, t))
+    stack = np.stack([PAULI_X, PAULI_Z])
+    assert np.array_equal(unitary_exp(stack, [0.3, 0.7]), np.stack([unitary_exp(PAULI_X, 0.3), unitary_exp(PAULI_Z, 0.7)]))
+
+
 def test_unitary_exp_rejects_non_hermitian():
     with pytest.raises(ValueError):
         unitary_exp(np.array([[0, 1], [0, 0]]), 1.0)
@@ -144,3 +162,23 @@ def test_rk4_handles_vectors():
         y = rk4_step(lambda t, y: a @ y, y, t, 1e-3)
         t += 1e-3
     assert np.max(np.abs(y - np.array([np.cos(1.0), -np.sin(1.0)]))) < 1e-9
+
+
+def test_nan_fails_every_input_gate():
+    nan = float("nan")
+    with pytest.raises(ValueError, match=r"probability .*nan.* lies outside \[0, 1\]"):
+        require_range(np.array([nan, 0.5]))
+    with pytest.raises(ValueError, match=r"probability .*nan.* lies outside \[0, 1\]"):
+        qubit_density_from_probs([0.5, nan, 0.5])
+    with pytest.raises(ValueError, match="matrix is not Hermitian: defect nan"):
+        require_hermitian(np.array([[1.0, nan], [nan, 0.0]]), 1e-10)
+    with pytest.raises(ValueError, match="density matrix is not Hermitian: defect nan"):
+        qubit_probs_from_density([[nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="direction must be a unit vector, norm is nan"):
+        tomogram(np.eye(2) / 2.0, [nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian: defect nan"):
+        evolve_blocks([[nan, 0.0], [0.0, 1.0]], identity_channel_probs(), 1.0, 0.1)
+    choi = np.eye(4, dtype=complex) / 2.0
+    choi[1, 2] = complex(0.0, nan)
+    with pytest.raises(ValueError, match="imaginary residue nan exceeds"):
+        probs_from_choi(choi)

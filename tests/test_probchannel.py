@@ -213,3 +213,13 @@ def test_exact_on_random_constraint_satisfying_vectors():
         choi = choi_from_probs(p)
         tp = np.einsum("aiaj->ij", choi.reshape(2, 2, 2, 2))
         assert np.max(np.abs(tp - np.eye(2))) < 1e-14
+
+
+def test_constraint_residuals_are_the_partial_trace_of_the_layout():
+    # Tr_1 of D = choi_from_probs(p) is I for a trace-preserving channel; the
+    # hand-indexed residuals are half the defects of its independent entries.
+    rng = np.random.default_rng(47)
+    p = rng.uniform(0.0, 1.0, (5000, N_PROBS))
+    t = np.einsum("kiaib->kab", choi_from_probs(p).reshape(-1, 2, 2, 2, 2))
+    expected = 0.5 * np.abs(np.stack([t[:, 0, 0] - 1.0, t[:, 0, 1].real, t[:, 0, 1].imag], axis=-1))
+    assert np.max(np.abs(channel_constraint_residuals(p) - expected)) <= 1e-15

@@ -3,6 +3,10 @@ import pytest
 
 from probchan.stateprob import (
     OFFDIAG_PROB_PAIRS,
+    _offdiag_pairs,
+    affine_choi,
+    affine_probs,
+    build_constants,
     distribution_set,
     qubit_bloch_check,
     qubit_density_from_probs,
@@ -160,6 +164,68 @@ def test_ququart_pairing_table_covers_upper_triangle():
     assert seen == {(r, c) for r in range(4) for c in range(r + 1, 4)}
     indices = sorted(i for _, _, re_i, im_i in OFFDIAG_PROB_PAIRS for i in (re_i, im_i))
     assert indices == list(range(3, 15))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_generated_layout_identities_exact(n):
+    k = build_constants(n)
+    m = n * n - 1
+    assert k.prob_matrix.shape == (m, n * n) and k.choi_matrix.shape == (n * n, m)
+    assert np.array_equal(k.prob_matrix @ k.choi_matrix, np.eye(m))
+    assert np.array_equal(k.prob_matrix @ k.choi_offset + k.prob_offset, np.zeros(m))
+    assert build_constants(n) is k
+    for arr in (k.prob_matrix, k.prob_offset, k.choi_matrix, k.choi_offset):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    pairs = _offdiag_pairs(n)
+    assert [(r, c) for r, c, _, _ in pairs] == [(r, c) for r in range(n) for c in range(r + 1, n)]
+    assert sorted(i for _, _, re_i, im_i in pairs for i in (re_i, im_i)) == list(range(n - 1, m))
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_generated_layout_refuses_small_dimensions(n):
+    with pytest.raises(ValueError, match="at least 2"):
+        build_constants(n)
+
+
+def test_generated_layout_follows_the_rule_at_n_3():
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        rho = random_density(rng, 3)
+        p = affine_probs(2.0 * rho).real
+        assert np.max(np.abs(p[:2] - (1.0 - np.diag(rho)[1:].real))) < 1e-15
+        for r, c, re_i, im_i in _offdiag_pairs(3):
+            assert abs(rho[r, c] - ((p[re_i] - 0.5) - 1j * (p[im_i] - 0.5))) < 1e-15
+        assert abs(p[0] + p[1] - 1.0 - rho[0, 0]) < 1e-15
+        assert np.max(np.abs(affine_choi(p) / 2.0 - rho)) < 1e-15
+
+
+def _hand_written_qubit_density(p):
+    p1, p2, p3 = p
+    off = (p2 - 0.5) - 1j * (p3 - 0.5)
+    return np.array([[p1, off], [np.conj(off), 1.0 - p1]], dtype=complex)
+
+
+def _hand_written_qubit_probs(rho):
+    return np.array([rho[0, 0].real, 0.5 + rho[1, 0].real, 0.5 + rho[1, 0].imag])
+
+
+def test_qubit_conversions_match_the_hand_written_formulas():
+    rng = np.random.default_rng(28)
+    probs = rng.uniform(0.0, 1.0, (2000, 3))
+    stacked = qubit_density_from_probs(probs)
+    for p, rho in zip(probs, stacked):
+        expected = _hand_written_qubit_density(p)
+        assert qubit_density_from_probs(p).tobytes() == expected.tobytes()
+        assert rho.tobytes() == expected.tobytes()
+    for _ in range(2000):
+        rho = random_density(rng, 2)
+        rho = (rho + rho.conj().T) / 2.0  # exactly Hermitian
+        rho[1, 1] = 1.0 - rho[0, 0]  # exactly trace 1
+        got, expected = qubit_probs_from_density(rho), _hand_written_qubit_probs(rho)
+        assert got[1:].tobytes() == expected[1:].tobytes()
+        # the rule reads p1 = 1 - rho_11, the hand-written formula rho_00
+        assert abs(got[0] - expected[0]) <= np.spacing(0.5)
 
 
 def test_ququart_rejects_bad_shapes_and_values():
