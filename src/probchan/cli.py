@@ -17,6 +17,7 @@ to `channel to-probs`).
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -157,8 +158,141 @@ def _report_text(report: channelcore.CptpReport) -> str:
     )
 
 
+# Every evolve CSV cell is exactly the %.17g text of its double. Cells with
+# 1e-4 <= |x| < 1e17, which %g prints in fixed notation, are laid out from
+# their 17 significant digits D = round-half-even(|x| * 10**(16 - E)), with
+# E = floor(log10 |x|), all in numpy. D is exact: 10**k is an exact double for
+# k <= 22, and Dekker's TwoProduct (Numer. Math. 18, 1971) gives hi + lo equal
+# to |x| * 10**k with no rounding. Each cell becomes nine little-endian 4-byte
+# words of NUL-padded text: sign with "0." or "0.0", further leading zeros, the
+# six 3-digit groups of D (the first holds two digits) with the decimal point
+# and trailing zeros settled, and the separator. Every other cell (0, -0, NaN,
+# inf, |x| < 1e-4, |x| >= 1e17) is formatted by % in one batch and spliced in.
+
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+
+
+def _exact_scale(a: np.ndarray, k: np.ndarray):
+    """(hi, lo) with hi = fl(a * 10**k) and hi + lo = a * 10**k exactly, for 0 <= k <= 22."""
+    b, b_hi = _POW10[k], _POW10_HI[k]
+    b_lo = b - b_hi
+    hi = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _group_words() -> np.ndarray:
+    """The 4-byte word of every 3-digit group value in each of its 16 variants, in index order.
+
+    Variant (first, point, strip): point is None or the slot (0-2) the
+    decimal point follows; strip drops the zeros that end the group after the
+    point (the whole group's when there is none), and the point when no digit
+    is left after it. The first group's slot 0 is not a digit of D and is NUL.
+    """
+    values = np.arange(1000)
+    digits = np.stack([values // 100, values // 10 % 10, values % 10], axis=1)
+    zero_from = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # slot k and all after it are 0
+    words = []
+    for first in (True, False):
+        for point in (None, 0, 1, 2):
+            for strip in (False, True):
+                text = np.zeros((1000, 4), np.uint8)
+                fraction_from = 0 if point is None else point + 1  # first slot after the point
+                for k in range(3):
+                    dropped = (strip and k >= fraction_from) & zero_from[:, k] | (first and k == 0)
+                    at = k + (point is not None and k > point)
+                    text[:, at] = np.where(dropped, 0, ord("0") + digits[:, k])
+                if point is not None:
+                    fraction = point < 2 and ~zero_from[:, point + 1]  # a non-zero digit follows in this group
+                    text[:, point + 1] = np.where(fraction | (not strip), ord("."), 0)
+                words.append(text.view("<u4")[:, 0])
+    return np.concatenate(words)
+
+
+@functools.cache
+def _csv_tables():
+    """The word table and, per layout code, the nine word indices before group values are added.
+
+    A cell's layout code is (((E + 4) * 6 + last) * 2 + negative) * 2 + row_end,
+    where last is the index of D's last non-zero group. Built on first use,
+    so commands other than evolve do not pay for it; both arrays are read-only.
+    """
+    groups = _group_words()
+    lead, zeros, sep = len(groups), len(groups) + 6, len(groups) + 9
+    texts = [sign + prefix for sign in (b"", b"-") for prefix in (b"", b"0.", b"0.0")] + [b"", b"0", b"00", b",", b"\n"]
+    words = np.concatenate([groups, [int.from_bytes(t.ljust(4, b"\0"), "little") for t in texts]]).astype(np.uint32)
+
+    e = np.arange(-4, 17)[:, None, None]
+    group = np.arange(6)
+    slot = e - (3 * group - 1)  # the point follows digit e; group j starts at digit 3 j - 1
+    point = np.where((e >= 0) & (slot >= 0) & (slot <= 2), slot + 1, 0)
+    strip = (group >= np.arange(6)[:, None]) & (slot < 3)  # group at or after the last non-zero one
+    codes = np.empty((21, 6, 2, 2, 9), np.intp)
+    codes[..., 0] = (lead + np.clip(-e, 0, 2))[..., None] + [[0], [3]]
+    codes[..., 1] = (zeros + np.clip(-e - 2, 0, 2))[..., None]
+    codes[..., 2:8] = ((group > 0) * 8000 + (point * 2 + strip) * 1000)[:, :, None, None, :]
+    codes[..., 8] = [sep, sep + 1]
+    words.setflags(write=False)
+    codes.setflags(write=False)
+    return words, codes.reshape(-1, 9), zeros
+
+
+def _csv_text(table: np.ndarray) -> str:
+    """("%.17g,...,%.17g\n" * rows) % tuple(table.ravel()) for a 2-D float array, byte for byte."""
+    rows, cols = table.shape
+    cells = table.ravel()
+    a = np.abs(cells)
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    if slow.size == cells.size:
+        return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(cells.tolist())
+    a[slow] = 1.0
+    words, codes, blank = _csv_tables()
+
+    # E from log10, then moved by one where hi + lo leaves [1e16, 1e17)
+    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    hi, lo = _exact_scale(a, 16 - e)
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    if shift.any():
+        e += shift
+        hi, lo = _exact_scale(a, 16 - e)
+    # hi >= 1e16 > 2**53 is an even integer, so adding rint(lo) rounds hi + lo half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+
+    upper = d // 10**9
+    halves = np.stack([upper, d - upper * 10**9]).astype(float)  # below 1e9, so exact
+    top = np.floor((halves + 0.5) * 1e-6)
+    rest = halves - top * 1e6
+    mid = np.floor((rest + 0.5) * 1e-3)
+    low = rest - mid * 1e3
+    tail = np.maximum(mid != 0, 2 * (low != 0))  # last non-zero group of each half; the upper top never is 0
+    last = np.where(halves[1] != 0, 3 + tail[1], tail[0])
+
+    code = (((e + 4) * 6 + last) * 2 + (cells < 0)) * 2
+    code.reshape(rows, cols)[:, -1] += 1
+    index = np.take(codes, code, axis=0)
+    index.T[2:8:3] += top.astype(np.intp)
+    index.T[3:8:3] += mid.astype(np.intp)
+    index.T[4:8:3] += low.astype(np.intp)
+    index[slow, :8] = blank
+    text = np.take(words, index)
+    if slow.size:
+        spliced = ("%24.17g" * slow.size) % tuple(cells[slow].tolist())
+        text.view(np.uint8)[slow, :24] = np.frombuffer(spliced.encode("ascii"), np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0 ").decode("ascii")
+
+
+_CSV_ROWS = 256  # rows per _csv_text call, which holds about 10 kB of numpy temporaries per row
+
+
 def _trajectory_csv(blocks, h):
-    """CSV lines of a trajectory given as (times, probs) blocks, one string per block.
+    """CSV lines of a trajectory given as (times, probs) blocks, one string per _CSV_ROWS rows.
 
     With a Hamiltonian h (not None) each block gains the columns o1..o15 of
     oracle_probs at its times, and a last line gives max_dev, the largest
@@ -166,7 +300,6 @@ def _trajectory_csv(blocks, h):
     """
     names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if h is None else [f"o{i}" for i in range(1, 16)])
     yield ",".join(names) + "\n"
-    row_format = ",".join(["%.17g"] * len(names)) + "\n"
     max_dev = 0.0
     for times, probs in blocks:
         columns = [times[:, None], probs]
@@ -174,7 +307,9 @@ def _trajectory_csv(blocks, h):
             oracle = kinetics.oracle_probs(h, times)
             max_dev = np.maximum(max_dev, np.max(np.abs(probs - oracle)))
             columns.append(oracle)
-        yield (row_format * len(times)) % tuple(np.hstack(columns).ravel().tolist())
+        table = np.hstack(columns)
+        for start in range(0, len(table), _CSV_ROWS):
+            yield _csv_text(table[start : start + _CSV_ROWS])
     if h is not None:
         yield "# max_dev=" + _fmt(max_dev) + "\n"
 

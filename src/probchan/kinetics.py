@@ -41,12 +41,16 @@ MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocate
 _BLOCK = 1024  # samples per evolve_blocks block
 
 
-def validate_hamiltonian(h) -> np.ndarray:
-    """Coerce to a 2 x 2 complex array, Hermitian within 1e-12."""
+def _as_hamiltonian(h) -> np.ndarray:
     arr = np.asarray(h, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2 x 2 Hamiltonian, got shape {arr.shape}")
-    return require_hermitian(arr, _HERMITICITY_TOL, "Hamiltonian")
+    return arr
+
+
+def validate_hamiltonian(h) -> np.ndarray:
+    """Coerce to a 2 x 2 complex array, Hermitian within 1e-12."""
+    return require_hermitian(_as_hamiltonian(h), _HERMITICITY_TOL, "Hamiltonian")
 
 
 def check_time_grid(t_max: float, dt: float) -> float:
@@ -195,10 +199,12 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
 def oracle_probs(h, t) -> np.ndarray:
     """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), from one eigh of h.
 
-    t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
+    h is 2 x 2 and Hermitian within 1e-12, which unitary_exp checks once per
+    call. t is a time, giving shape (15,), or a 1-D array of n times, giving
+    (n, 15).
     """
     times = np.asarray(t, dtype=float)
-    v = unitary_exp(validate_hamiltonian(h), times.reshape(-1)).reshape(-1, 4)
+    v = unitary_exp(_as_hamiltonian(h), times.reshape(-1)).reshape(-1, 4)
     return probs_from_choi(v[:, :, None] * v[:, None, :].conj()).reshape(times.shape + (N_PROBS,))
 
 

@@ -73,7 +73,7 @@ def require_range(p: np.ndarray) -> np.ndarray:
     """p itself when every entry lies in [0, 1], else ValueError naming the first that does not."""
     outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
     if outside.size:
-        raise ValueError(f"probability {outside[0]!r} lies outside [0, 1]")
+        raise ValueError(f"probability {float(outside[0])!r} lies outside [0, 1]")
     return p
 
 
@@ -138,10 +138,11 @@ def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
 def unitary_exp(h, t) -> np.ndarray:
     """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack).
 
-    t is a time or an array of times; its shape broadcasts against the stack
-    shape of h, so one h at n times gives shape (n, d, d).
+    h must be Hermitian within 1e-12 entrywise, else ValueError naming the
+    Hamiltonian. t is a time or an array of times; its shape broadcasts
+    against the stack shape of h, so one h at n times gives shape (n, d, d).
     """
-    vals, vecs = hermitian_eigensystem(h, 1e-12)
+    vals, vecs = np.linalg.eigh(hermitian_part(require_hermitian(h, 1e-12, "Hamiltonian")))
     phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ _adjoint(vecs)
 

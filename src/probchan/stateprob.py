@@ -241,7 +241,7 @@ def distribution_set(probs) -> DistributionSet:
     p = _as_probs(probs, N_PROBS).reshape(N_PROBS)
     head = p[0] + p[1] + p[2] - 2.0
     if head < -1e-12:
-        raise ValueError(f"p1 + p2 + p3 = {p[0] + p[1] + p[2]!r} is below 2, first outcome would be negative")
+        raise ValueError(f"p1 + p2 + p3 = {float(p[0] + p[1] + p[2])!r} is below 2, first outcome would be negative")
     main = np.array([max(head, 0.0), 1.0 - p[0], 1.0 - p[1], 1.0 - p[2]])
     dichotomics = np.column_stack([p[3:], 1.0 - p[3:]])
     return DistributionSet(main=main, dichotomics=dichotomics)

@@ -284,7 +284,9 @@ def test_malformed_matrix_exits_1(tmp_path, text):
 def test_exit_codes_on_invalid_values(tmp_path):
     # parseable files whose contents fail validation exit 2
     out_of_range = write(tmp_path, "r.json", probs_doc([1.5, 0.5, 0.5]))
-    assert run_cli(["state", "from-probs", "--dim", "2", out_of_range]).returncode == 2
+    refused = run_cli(["state", "from-probs", "--dim", "2", out_of_range])
+    assert refused.returncode == 2
+    assert refused.stderr == "error: probability 1.5 lies outside [0, 1]\n"
 
     non_hermitian = write(
         tmp_path, "nh.json", matrix_doc(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -379,6 +381,65 @@ def test_evolve_oracle_rows_match_per_cell_formatting_over_blocks(tmp_path):
         assert lines[-2] == "# max_dev=%.17g" % np.max(deviation)
         assert lines[-1] == ""
     assert np.argmax(deviation) < _BLOCK
+
+
+def percent_csv(table):
+    """CSV text of a 2-D array by %, the reference for cli._csv_text."""
+    rows, cols = table.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(table.ravel().tolist())
+
+
+def csv_corpus():
+    """Named arrays of doubles on which a %.17g shortcut would slip."""
+    rng = np.random.default_rng(909)
+    n = 6000
+    powers = 10.0 ** np.arange(-6, 19)
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    # M / 2**(17 - E) with M odd has 18 significant digits ending in 5: an exact tie at digit 17
+    ties = []
+    for e in range(-4, 15):
+        lo, hi = 10.0**e * 2.0 ** (17 - e), min(10.0 ** (e + 1) * 2.0 ** (17 - e), 2.0**53)
+        ties.append((rng.integers(int(np.ceil(lo)), int(hi), 200) | 1) * 2.0 ** (e - 17))
+    edges = [1e-4, 1e17, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 99999999999999984.0]
+    fast = rng.uniform(-10, 10, n)
+    slow = np.concatenate([rng.uniform(1e-9, 1e-5, n // 2), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e20, -3e17]])
+    mixed = fast.copy()
+    for share in (0.05, 0.5):
+        at = rng.random(n) < share
+        mixed[at] = rng.choice(slow, at.sum())
+    return {
+        "uniform [0, 1]": rng.random(n),
+        "uniform [-10, 10]": fast,
+        "log-uniform 1e-8 to 1e19": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 19, n),
+        "bit patterns": rng.integers(0, 2**64, n, dtype=np.uint64).view(float),
+        "ties": np.concatenate(ties + [-t for t in ties]),
+        "near ties": (2.0**50 + np.array([[0.25], [0.75]])) * 10.0 ** -np.arange(0, 23),
+        "powers of ten and neighbours": np.concatenate([powers, below, above, -below, -above]),
+        "integers and short decimals": np.concatenate([np.arange(1000.0), np.arange(1000) / 8.0, np.arange(1000) / 1e3]),
+        "edges": np.array(edges + [np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0)]),
+        "mixed fast and slow": mixed,
+        "slow only": slow,
+    }
+
+
+def assert_csv_matches(cells, cols, what):
+    table = np.resize(cells, (-(-len(cells) // cols), cols))
+    got, want = cli._csv_text(table), percent_csv(table)
+    if got != want:  # name the differing cells; a diff of the whole text is slow
+        pairs = zip(got.replace("\n", ",\n").split(","), want.replace("\n", ",\n").split(","))
+        pytest.fail(f"{what}: " + "; ".join(f"{g!r} != {w!r}" for g, w in pairs if g != w)[:500])
+
+
+@pytest.mark.parametrize("cols", [31, 16, 1])
+def test_csv_text_is_percent_formatting(cols):
+    for name, cells in csv_corpus().items():
+        assert_csv_matches(cells, cols, name)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=62), st.integers(1, 31))
+def test_csv_text_on_generated_floats(cells, cols):
+    assert_csv_matches(np.array(cells), cols, "generated")
 
 
 def test_refused_evolve_writes_no_file(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from probchan import matcore
 from probchan.kinetics import (
     _BLOCK,
     MAX_STEPS,
@@ -248,6 +249,18 @@ def test_batched_oracle_matches_per_time_closed_form():
             assert np.max(np.abs(row - probs_from_choi(np.outer(v, v.conj())))) <= 1e-14
             assert np.max(np.abs(row - oracle_probs(h, t))) <= 1e-14
     assert oracle_probs(PAULI_Z, 0.5).shape == (15,)
+
+
+def test_oracle_gates_the_hamiltonian_once(monkeypatch):
+    with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
+        oracle_probs([[0.0, 1.0], [0.0, 0.0]], np.linspace(0.0, 1.0, 5))
+    with pytest.raises(ValueError, match="expected a 2 x 2 Hamiltonian"):
+        oracle_probs(np.eye(3), 1.0)
+    calls = []
+    defect = matcore.hermiticity_defect
+    monkeypatch.setattr(matcore, "hermiticity_defect", lambda m: calls.append(m) or defect(m))
+    oracle_probs(PAULI_X, np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 1
 
 
 def test_oracle_at_zero_matches_identity_channel():

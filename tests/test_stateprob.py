@@ -278,5 +278,5 @@ def test_distribution_set_main_examples(head, expected_main):
 def test_distribution_set_rejects_small_head():
     p = np.full(15, 0.5)
     p[0], p[1], p[2] = 0.6, 0.6, 0.7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p1 \+ p2 \+ p3 = 1\.9 is below 2"):
         distribution_set(p)
