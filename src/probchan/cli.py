@@ -8,11 +8,11 @@ standard streams. All numbers are written with 17 significant digits so a
 run is reproducible byte for byte.
 
 Exit codes: 0 success; 1 malformed input (unreadable, bad JSON, wrong
-structure, wrong sizes, non-Hermitian Hamiltonian, bad flag values); 2
-structurally valid input with out-of-domain values (bad density matrix,
-probabilities outside [0, 1], Bloch or positivity violations,
-constraint-violating initial data, a Choi matrix whose trace is not 2 given
-to `channel to-probs`).
+structure, wrong sizes, non-Hermitian Hamiltonian, bad flag values,
+unparseable, missing or unknown flags); 2 structurally valid input with
+out-of-domain values (bad density matrix, probabilities outside [0, 1],
+Bloch or positivity violations, constraint-violating initial data, a Choi
+matrix whose trace is not 2 given to `channel to-probs`).
 """
 
 import argparse
@@ -134,16 +134,14 @@ def _fmt(x: float) -> str:
 
 
 def _matrix_text(m: np.ndarray) -> str:
-    rows = []
-    for row in m:
-        cells = ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in row)
-        rows.append(f"    [{cells}]")
-    body = ",\n".join(rows)
-    return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (m.shape[0], body)
+    n = m.shape[0]
+    row = "    [" + ", ".join(["[%.17g, %.17g]"] * n) + "]"
+    text = '{\n  "dim": %d,\n  "entries": [\n' + ",\n".join([row] * n) + "\n  ]\n}\n"
+    return text % (n, *np.stack([m.real, m.imag], axis=-1).ravel().tolist())
 
 
 def _probs_text(p: np.ndarray) -> str:
-    return '{\n  "probs": [%s]\n}\n' % ", ".join(_fmt(x) for x in p)
+    return ('{\n  "probs": [' + ", ".join(["%.17g"] * len(p)) + "]\n}\n") % tuple(p.tolist())
 
 
 def _report_text(report: channelcore.CptpReport) -> str:
@@ -413,8 +411,17 @@ def cmd_evolve(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are FormatErrors (exit 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The process's one parser, built on first use and never changed; main looks up cmd_* at call time."""
+    parser = _Parser(
         prog="probchan",
         description="Probability-vector representation of qubit states and channels.",
     )
@@ -425,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     state.add_argument("input", help="input file path, or - for stdin")
     state.add_argument("--dim", type=int, choices=(2, 4), required=True, help="Hilbert space dimension")
     state.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
-    state.set_defaults(handler=cmd_state)
 
     channel = sub.add_parser("channel", help="inspect and convert channel representations")
     channel.add_argument("action", choices=("check", "choi-from-kraus", "to-probs", "from-probs"))
@@ -434,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=1e-9, help="verdict, residual and trace tolerance (default 1e-9)"
     )
     channel.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
-    channel.set_defaults(handler=cmd_channel)
 
     evolve = sub.add_parser("evolve", help="integrate the kinetic equation, emit a CSV trajectory")
     evolve.add_argument("--hamiltonian", required=True, help="MatrixFile with the 2 x 2 Hamiltonian, or -")
@@ -447,15 +452,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     evolve.add_argument("--oracle", action="store_true", help="append closed-form columns o1..o15 and a max_dev line")
     evolve.add_argument("--output", default="-", help="output file path, or - for stdout (default)")
-    evolve.set_defaults(handler=cmd_evolve)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        return {"state": cmd_state, "channel": cmd_channel, "evolve": cmd_evolve}[args.command](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -442,6 +442,37 @@ def test_csv_text_on_generated_floats(cells, cols):
     assert_csv_matches(np.array(cells), cols, "generated")
 
 
+def per_cell_matrix_text(m):
+    """A matrix document formatted one %.17g cell at a time, the reference for cli._matrix_text."""
+    rows = [", ".join("[%.17g, %.17g]" % (float(z.real), float(z.imag)) for z in row) for row in m]
+    return '{\n  "dim": %d,\n  "entries": [\n%s\n  ]\n}\n' % (m.shape[0], ",\n".join(f"    [{r}]" for r in rows))
+
+
+def per_cell_probs_text(p):
+    """A probability document formatted one %.17g value at a time, the reference for cli._probs_text."""
+    return '{\n  "probs": [%s]\n}\n' % ", ".join("%.17g" % float(x) for x in p)
+
+
+def test_small_writers_match_per_cell_formatting():
+    rng = np.random.default_rng(1010)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-4, 1e17])
+
+    def cells(shape):
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        at = rng.random(shape) < 0.1
+        x[at] = rng.choice(specials, at.sum())
+        return x
+
+    for _ in range(1000):
+        for dim in (2, 4):
+            m = cells((dim, dim, 2)).view(complex)[..., 0]
+            assert cli._matrix_text(m) == per_cell_matrix_text(m)
+            assert cli._matrix_text(m.real) == per_cell_matrix_text(m.real)
+        for n in (3, 15):
+            p = cells(n)
+            assert cli._probs_text(p) == per_cell_probs_text(p)
+
+
 def test_refused_evolve_writes_no_file(tmp_path, monkeypatch, capsys):
     good_h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
     bad_h = write(tmp_path, "bh.json", matrix_doc(np.array([[0.0, 1.0], [0.0, 0.0]])))
@@ -496,6 +527,43 @@ def test_unwritable_output_exits_1(tmp_path):
         result = run_cli(args)
         assert result.returncode == 1
         assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path):
+    choi = write(tmp_path, "choi.json", matrix_doc(np.diag([1.0, 0.25, 0.0, 0.75])))
+    h = write(tmp_path, "h.json", matrix_doc(np.array([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])))
+    rho = write(tmp_path, "rho.json", matrix_doc(random_density(np.random.default_rng(3), 2)))
+    evolve = ["evolve", "--hamiltonian", h, "--t-max", "0.05", "--dt", "0.01"]
+    sequence = [
+        ["channel", "check", choi, "--tolerance", "1e-3"],
+        ["channel", "check", choi],
+        [*evolve, "--oracle"],
+        evolve,
+        ["state", "to-probs", "--dim", "2", rho],
+        ["evolve", "--hamiltonian", h, "--t-max", "abc"],
+        ["state", "to-probs", "--dim", "2", rho],
+    ]
+    for argv in sequence:
+        fresh = run_cli(argv)
+        assert run_in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_patched_handler_takes_effect_after_first_call(tmp_path, monkeypatch):
+    rho = write(tmp_path, "rho.json", matrix_doc(np.eye(2) / 2.0))
+    argv = ["state", "to-probs", "--dim", "2", rho]
+    assert run_in_process(argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_state", lambda args: seen.append(args) or 7)
+    assert run_in_process(argv) == (7, "", "")
+    assert [(a.direction, a.input, a.dim) for a in seen] == [("to-probs", rho, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -607,25 +675,63 @@ def cli_runs(draw, workdir):
     return argv, files
 
 
+UNPARSEABLE_NUMBERS = ["abc", "", "1e"]
+UNKNOWN_FLAGS = ["--bogus", "-x", "--dims=2", "--oracle-only"]
+
+
+@st.composite
+def refused_flag_runs(draw, workdir):
+    """A cli_runs argv with one flag argparse refuses.
+
+    That is an unknown flag, an unparseable number, --dim 3, or a required
+    flag dropped (--dim, --hamiltonian or --t-max).
+    """
+    argv, files = draw(cli_runs(workdir))
+    breaks = {"state": ["dim 3", "--dim"], "channel": ["number"], "evolve": ["number", "--hamiltonian", "--t-max="]}
+    how = draw(st.sampled_from(["unknown flag", *breaks[argv[0]]]))
+    if how == "unknown flag":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(UNKNOWN_FLAGS)))
+    elif how == "dim 3":
+        argv[argv.index("--dim") + 1] = "3"
+    elif how == "number":
+        name = draw(st.sampled_from(["--t-max", "--dt"] if argv[0] == "evolve" else ["--tolerance"]))
+        argv = [a for a in argv if not a.startswith(name + "=")]
+        argv.append(f"{name}={draw(st.sampled_from(UNPARSEABLE_NUMBERS))}")
+    else:
+        at = next(i for i, a in enumerate(argv) if a.startswith(how))
+        del argv[at : at + 1 + (argv[at] == how)]  # the flag, and its value when that is the next word
+    return argv, files
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("corpus")
 
 
 def test_cli_contract_on_generated_inputs(corpus_dir):
-    """Every run exits 0, 1 or 2, prints one error: line exactly when it fails, and raises nothing."""
+    """Every run exits 0, 1 or 2, prints one error: line exactly when it fails, and raises nothing.
+
+    A run with a flag argparse refuses exits 1 and prints that one line alone.
+    """
+
+    def run(argv, files):
+        for path, text in files.items():
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        return run_in_process(argv)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(cli_runs(corpus_dir))
-    def check(run):
-        argv, files = run
-        for path, text in files.items():
-            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    def check(generated):
+        code, _, err = run(*generated)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert code in (0, 1, 2)
-        assert len(errors) == (code != 0), (argv, err.getvalue())
+        assert len(errors) == (code != 0), (generated[0], err)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(refused_flag_runs(corpus_dir))
+    def check_refused(generated):
+        code, out, err = run(*generated)
+        assert (code, out, err.count("\n")) == (1, "", 1) and err.startswith("error: "), (generated[0], err)
 
     check()
+    check_refused()
