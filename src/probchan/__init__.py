@@ -44,7 +44,6 @@ from .probchannel import (
     probs_from_choi,
 )
 from .kinetics import (
-    KineticGenerator,
     Trajectory,
     build_generator,
     build_q,

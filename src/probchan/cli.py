@@ -245,8 +245,6 @@ def _csv_text(table: np.ndarray) -> str:
     cells = table.ravel()
     a = np.abs(cells)
     slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
-    if slow.size == cells.size:
-        return ((",".join(["%.17g"] * cols) + "\n") * rows) % tuple(cells.tolist())
     a[slow] = 1.0
     words, codes, blank = _csv_tables()
 

@@ -6,26 +6,31 @@ generator
 
     Q = (h kron I2) kron I4  -  I4 kron (h kron I2)^T,
 
-row-major vec throughout. Pushing through the affine maps of probchannel
-turns this into a closed linear equation on the probability vector,
+row-major vec throughout. Through the affine maps of probchannel this is
+the paper's i dP/dt = G P + g, G = A Q B, g = A Q c. The completely
+depolarising channel D = I4 / 2 commutes with every h kron I2, so its
+probabilities P_STAR are a fixed point, g = -G P_STAR, and the equation
+is real about it:
 
-    i dP/dt = G P + g,    G = A Q B,   g = A Q c,
+    dP/dt = K (P - P_STAR),    K = Im(G) = x_1 K_1 + ... + x_4 K_4,
 
-which is integrated here with fixed-step classical RK4. The exact solution
-D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) serves as an oracle for
-error measurement.
+where x = (h00, h11, Re h01, -Im h01) are the coordinates of h on E00,
+E11, sigma_x, sigma_y and K_a = Im(A Q(X_a) B) are exact constants. It is
+integrated here with fixed-step classical RK4; the exact solution
+D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) serves as an oracle.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, identity, kron, require_hermitian, rk4_step, unitary_exp
+from .matcore import as_length, hermitian_part, identity, kron, require_hermitian, rk4_step, unitary_exp
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
     "MAX_STEPS",
-    "KineticGenerator",
+    "P_STAR",
     "Trajectory",
     "validate_hamiltonian",
     "build_q",
@@ -40,6 +45,9 @@ _HERMITICITY_TOL = 1e-12
 MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocated
 _BLOCK = 1024  # samples per evolve_blocks block
 
+P_STAR = probs_from_choi(identity(4) / 2.0)  # the completely depolarising channel: 3/4 three times, then 1/2
+P_STAR.setflags(write=False)
+
 
 def _as_hamiltonian(h) -> np.ndarray:
     arr = np.asarray(h, dtype=complex)
@@ -49,8 +57,8 @@ def _as_hamiltonian(h) -> np.ndarray:
 
 
 def validate_hamiltonian(h) -> np.ndarray:
-    """Coerce to a 2 x 2 complex array, Hermitian within 1e-12."""
-    return require_hermitian(_as_hamiltonian(h), _HERMITICITY_TOL, "Hamiltonian")
+    """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: what unitary_exp evolves too."""
+    return hermitian_part(require_hermitian(_as_hamiltonian(h), _HERMITICITY_TOL, "Hamiltonian"))
 
 
 def check_time_grid(t_max: float, dt: float) -> float:
@@ -72,26 +80,28 @@ def build_q(h) -> np.ndarray:
     return kron(lifted, eye4) - kron(eye4, lifted.T)
 
 
-@dataclass(frozen=True)
-class KineticGenerator:
-    """Generator data: full vec-space Q plus the reduced affine pair (G, g).
+@functools.cache
+def _structure_constants() -> np.ndarray:
+    """K_a = Im(A Q(X_a) B) for X_a = E00, E11, sigma_x, sigma_y, shape (4, 15, 15), read-only.
 
-    The probability vector obeys i dP/dt = G P + g while vec(D) obeys
-    i d vec(D)/dt = Q vec(D).
+    Raises RuntimeError if any A Q(X_a) B has a real part, which would
+    take the kinetic equation off real probabilities.
     """
-
-    Q: np.ndarray
-    G: np.ndarray
-    g: np.ndarray
-
-
-def build_generator(h) -> KineticGenerator:
-    """Assemble Q, G = A Q B and g = A Q c for a Hamiltonian."""
-    q = build_q(h)
     k = build_constants()
-    reduced = k.prob_matrix @ q @ k.choi_matrix
-    source = k.prob_matrix @ (q @ k.choi_offset)
-    return KineticGenerator(Q=q, G=reduced, g=source)
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+    full = np.stack([k.prob_matrix @ build_q(x) @ k.choi_matrix for x in basis])
+    if full.real.any():
+        raise RuntimeError("kinetic structure constants corrupt: A Q(X_a) B has a real part")
+    constants = full.imag.copy()
+    constants.setflags(write=False)
+    return constants
+
+
+def build_generator(h) -> np.ndarray:
+    """The real 15 x 15 generator K = Im(A Q B) of dP/dt = K (P - P_STAR), as sum_a x_a K_a."""
+    h = validate_hamiltonian(h)
+    x = np.array([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag])
+    return np.tensordot(x, _structure_constants(), 1)
 
 
 @dataclass
@@ -110,16 +120,16 @@ class Trajectory:
 def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
     """Run every check now, then return an iterator of (times, probs) blocks.
 
-    The checks (Hamiltonian, channel constraints on p0, time grid, exactly
-    zero real part of G and g) raise ValueError in this call, before any
-    block exists. Block k holds samples k * _BLOCK up to (k + 1) * _BLOCK - 1,
-    shapes (b,) and (b, 15), so memory stays bounded whatever t_max / dt is.
+    The checks (Hamiltonian, channel constraints on p0, time grid) raise
+    ValueError in this call, before any block exists. Block k holds samples
+    k * _BLOCK up to (k + 1) * _BLOCK - 1, shapes (b,) and (b, 15), so memory
+    stays bounded whatever t_max / dt is.
 
-    G and g are purely imaginary, so one RK4 step of the real system
-    dP/dt = Im(G) P + Im(g) is an affine map P -> M P + m, built by applying
-    rk4_step to the identity and to 0. Whole steps come from precomputed
-    powers, P[k + j] = M^j P[k] + s_j; a shorter final step lands exactly on
-    t_max when dt does not divide it.
+    RK4 runs on z = P - P_STAR under dz/dt = K z, so one step is the matrix
+    M = rk4_step applied to the identity. Whole steps come from precomputed
+    powers, z[k + j] = M^j z[k], and z is carried from block to block; each
+    block is written out as z + P_STAR. A shorter final step lands exactly on
+    t_max when dt does not divide it. Sample 0 is p0 itself.
 
     Args:
         h: 2 x 2 Hermitian matrix.
@@ -127,63 +137,50 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
         t_max: horizon, positive.
         dt: step, 0 < dt <= t_max, with t_max / dt at most MAX_STEPS.
     """
-    arr_h = validate_hamiltonian(h)
+    k_mat = build_generator(h)
     p = as_length(p0, N_PROBS, "initial probabilities")
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")
     ratio = check_time_grid(t_max, dt)
 
-    gen = build_generator(arr_h)
-    if gen.G.real.any() or gen.g.real.any():
-        raise ValueError("generator has a real part; the kinetic equation would not keep probabilities real")
-    k_mat, k_vec = gen.G.imag, gen.g.imag
-
-    def deriv(_t, y):
-        return k_mat @ y + k_vec
-
-    step = rk4_step(lambda _t, y: k_mat @ y, np.eye(N_PROBS), 0.0, dt)
-    shift = rk4_step(deriv, np.zeros(N_PROBS), 0.0, dt)
+    def deriv(_t, z):
+        return k_mat @ z
 
     n_whole = int(np.floor(ratio * (1.0 + 4.0 * np.finfo(float).eps)))
     remainder = t_max - n_whole * dt
     n = n_whole + 1 + (remainder > 1e-9 * dt)
-    powers, shifts = _affine_powers(step, shift, min(_BLOCK, n_whole))
-    flat = powers.reshape(-1, N_PROBS)
+    flat = _powers(rk4_step(deriv, np.eye(N_PROBS), 0.0, dt), min(_BLOCK, n_whole)).reshape(-1, N_PROBS)
 
     def blocks():
-        last = p
+        z = p - P_STAR
         for start in range(0, n, _BLOCK):
             times = np.arange(start, min(start + _BLOCK, n)) * dt
-            block = stepped = np.empty((len(times), N_PROBS))
+            block = np.empty((len(times), N_PROBS))
+            stepped = block[1:] if start == 0 else block
+            whole = min(len(stepped), n_whole + 1 - max(start, 1))  # samples of whole steps
+            stepped[:whole] = (flat[: whole * N_PROBS] @ z).reshape(whole, N_PROBS)
+            if whole < len(stepped):  # the shorter final step
+                stepped[-1] = rk4_step(deriv, stepped[whole - 1] if whole else z, 0.0, remainder)
+            z = stepped[-1].copy()
+            stepped += P_STAR
             if start == 0:
                 block[0] = p
-                stepped = block[1:]
-            whole = min(len(stepped), n_whole + 1 - max(start, 1))  # samples of whole steps
-            stepped[:whole] = (flat[: whole * N_PROBS] @ last).reshape(whole, N_PROBS) + shifts[:whole]
-            if whole < len(stepped):  # the shorter final step
-                stepped[-1] = rk4_step(deriv, stepped[whole - 1] if whole else last, n_whole * dt, remainder)
             if start + len(times) == n:
                 times[-1] = t_max
-            last = block[-1]
             yield times, block
 
     return blocks()
 
 
-def _affine_powers(step: np.ndarray, shift: np.ndarray, n: int):
-    """M^1..M^n and s_1..s_n of the affine map P -> M P + m, by doubling.
-
-    (M^j, s_j) after (M^k, s_k) is (M^j M^k, M^j s_k + s_j), so each round
-    extends the k entries known so far by up to k more in one matmul.
-    """
-    powers, shifts = step[None], shift[None]
+def _powers(step: np.ndarray, n: int) -> np.ndarray:
+    """M^1..M^n of the 15 x 15 step matrix M, by doubling: each round multiplies up to k known powers by the last."""
+    powers = step[None]
     while len(powers) < n:
         k = min(len(powers), n - len(powers))
         flat = powers[:k].reshape(-1, N_PROBS)
         powers = np.concatenate([powers, (flat @ powers[-1]).reshape(k, N_PROBS, N_PROBS)])
-        shifts = np.concatenate([shifts, (flat @ shifts[-1]).reshape(k, N_PROBS) + shifts[:k]])
-    return powers, shifts
+    return powers
 
 
 def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:

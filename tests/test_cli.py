@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probchan import cli, kinetics
+from probchan import cli
 from probchan.channelcore import choi_from_kraus
 from probchan.kinetics import _BLOCK, MAX_STEPS, evolve_probs, oracle_probs
 from probchan.probchannel import identity_channel_probs
@@ -473,7 +473,7 @@ def test_small_writers_match_per_cell_formatting():
             assert cli._probs_text(p) == per_cell_probs_text(p)
 
 
-def test_refused_evolve_writes_no_file(tmp_path, monkeypatch, capsys):
+def test_refused_evolve_writes_no_file(tmp_path, capsys):
     good_h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
     bad_h = write(tmp_path, "bh.json", matrix_doc(np.array([[0.0, 1.0], [0.0, 0.0]])))
     flat = write(tmp_path, "flat.json", probs_doc([0.5] * 15))
@@ -487,17 +487,17 @@ def test_refused_evolve_writes_no_file(tmp_path, monkeypatch, capsys):
         assert cli.main(["evolve", *args, "--oracle", "--output", str(out)]) == code
         assert not out.exists()
 
-    # a generator with a real part, which no qubit Hamiltonian gives, is refused before output too
-    build_generator = kinetics.build_generator
+    assert capsys.readouterr().err.count("error: ") == len(refused)
 
-    def real_part(h):
-        gen = build_generator(h)
-        return kinetics.KineticGenerator(Q=gen.Q, G=gen.G + 1e-300, g=gen.g)
-
-    monkeypatch.setattr(kinetics, "build_generator", real_part)
-    assert cli.main(["evolve", "--hamiltonian", good_h, "--t-max", "1", "--output", str(out)]) == 2
-    assert not out.exists()
-    assert capsys.readouterr().err.count("error: ") == len(refused) + 1
+    # a Hamiltonian within the 1e-12 Hermiticity gate runs, and both RK4 and the oracle evolve its Hermitian part
+    near = np.array([[1.0 + 1e-13j, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
+    outputs = []
+    for name, h in (("near.json", near), ("part.json", (near + near.conj().T) / 2.0)):
+        path = write(tmp_path, name, matrix_doc(h))
+        assert cli.main(["evolve", "--hamiltonian", path, "--t-max", "1", "--oracle", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
 
 
 def test_evolve_memory_stays_flat(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from probchan import matcore
+from probchan import kinetics, matcore
 from probchan.kinetics import (
     _BLOCK,
     MAX_STEPS,
+    P_STAR,
     build_generator,
     build_q,
     compare_to_oracle,
@@ -17,6 +18,7 @@ from probchan.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    hermitian_part,
     hermiticity_defect,
     identity,
     kron,
@@ -25,12 +27,21 @@ from probchan.matcore import (
     vec,
 )
 from probchan.probchannel import (
+    build_constants,
     channel_constraint_residuals,
+    check_channel_prob_constraints,
     choi_from_probs,
     identity_channel_probs,
     probs_from_choi,
 )
 from conftest import complex_normal, random_channel_probs, random_hermitian
+
+
+def complex_pair(h):
+    """G = A Q B and g = A Q c from build_q and build_constants: the paper's i dP/dt = G P + g, as reference."""
+    k = build_constants()
+    q = build_q(h)
+    return k.prob_matrix @ q @ k.choi_matrix, k.prob_matrix @ (q @ k.choi_offset)
 
 
 def maximally_entangled_projector():
@@ -77,29 +88,80 @@ def test_build_q_hermitian():
 
 
 def test_build_generator_zero():
-    gen = build_generator(np.zeros((2, 2)))
-    assert np.array_equal(gen.Q, np.zeros((16, 16)))
-    assert np.array_equal(gen.G, np.zeros((15, 15)))
-    assert np.array_equal(gen.g, np.zeros(15))
+    big_g, small_g = complex_pair(np.zeros((2, 2)))
+    assert np.array_equal(big_g, np.zeros((15, 15)))
+    assert np.array_equal(small_g, np.zeros(15))
+    assert np.array_equal(build_generator(np.zeros((2, 2))), np.zeros((15, 15)))
 
 
 def test_build_generator_sigma_z_initial_derivative():
-    gen = build_generator(PAULI_Z)
-    deriv = -1j * (gen.G @ identity_channel_probs() + gen.g)
+    big_g, small_g = complex_pair(PAULI_Z)
+    deriv = -1j * (big_g @ identity_channel_probs() + small_g)
     assert np.max(np.abs(deriv.imag)) < 1e-15
     expected = np.zeros(15)
     expected[8] = 1.0  # dp9/dt = 1 at t = 0; dp8/dt = 0; everything else frozen
     assert np.max(np.abs(deriv.real - expected)) < 1e-15
+    assert np.max(np.abs(build_generator(PAULI_Z) @ (identity_channel_probs() - P_STAR) - expected)) < 1e-15
 
 
 def test_build_generator_keeps_probabilities_real():
     rng = np.random.default_rng(62)
-    gen = build_generator(random_hermitian(rng, 2, norm=5.0))
-    worst = 0.0
+    h = random_hermitian(rng, 2, norm=5.0)
+    big_g, small_g = complex_pair(h)
+    k_mat = build_generator(h)
+    worst = worst_real = 0.0
     for _ in range(1000):
         p = random_channel_probs(rng)
-        worst = max(worst, float(np.max(np.abs((-1j * (gen.G @ p + gen.g)).imag))))
+        deriv = -1j * (big_g @ p + small_g)
+        worst = max(worst, float(np.max(np.abs(deriv.imag))))
+        worst_real = max(worst_real, float(np.max(np.abs(k_mat @ (p - P_STAR) - deriv.real))))
     assert worst <= 1e-12
+    assert worst_real <= 1e-12
+
+
+def test_structure_constants_are_exact():
+    constants = kinetics._structure_constants()
+    assert constants is kinetics._structure_constants()  # built once per process
+    assert constants.shape == (4, 15, 15) and not constants.flags.writeable
+    assert set(np.unique(constants)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+    k = build_constants()
+    for x, k_a in zip((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), PAULI_X, PAULI_Y), constants):
+        full = k.prob_matrix @ build_q(x) @ k.choi_matrix
+        assert not full.real.any()
+        assert np.array_equal(full.imag, k_a)
+        assert np.array_equal(build_generator(x), k_a)
+
+
+def test_structure_constants_refuse_a_real_part(monkeypatch):
+    build = kinetics.build_q
+    monkeypatch.setattr(kinetics, "build_q", lambda x: 1j * build(x))
+    with pytest.raises(RuntimeError, match="real part"):
+        kinetics._structure_constants.__wrapped__()
+
+
+def test_fixed_point_is_exact():
+    assert np.array_equal(P_STAR, probs_from_choi(identity(4) / 2.0))
+    assert np.array_equal(P_STAR, np.array([0.75] * 3 + [0.5] * 12))
+    assert not P_STAR.flags.writeable
+    ok, residuals = check_channel_prob_constraints(P_STAR, tol=0.0)
+    assert ok and not residuals.any()
+    rng = np.random.default_rng(70)
+    for _ in range(20):
+        traj = evolve_probs(random_hermitian(rng, 2, norm=float(rng.uniform(0.1, 10.0))), P_STAR, 5.0)
+        assert np.array_equal(traj.probs, np.broadcast_to(P_STAR, traj.probs.shape))
+
+
+def test_near_hermitian_hamiltonian_evolves_its_hermitian_part():
+    h = np.array([[1.0 + 1e-13j, 0.3 - 0.2j], [0.3 + 0.2j + 1e-13, -1.0]])
+    assert 0.0 < hermiticity_defect(h) <= 1e-12
+    part = hermitian_part(h)
+    assert np.array_equal(validate_hamiltonian(h), part)
+    assert np.array_equal(build_generator(h), build_generator(part))
+    rng = np.random.default_rng(71)
+    p0 = random_channel_probs(rng)
+    near, exact = evolve_probs(h, p0, 2.5), evolve_probs(part, p0, 2.5)
+    assert np.array_equal(near.times, exact.times) and np.array_equal(near.probs, exact.probs)
+    assert np.array_equal(oracle_probs(h, near.times), oracle_probs(part, near.times))
 
 
 def test_evolve_zero_hamiltonian_is_constant():
@@ -174,18 +236,19 @@ def test_generator_real_part_is_exactly_zero():
     hamiltonians = [PAULI_X, PAULI_Y, PAULI_Z]
     hamiltonians += [random_hermitian(rng, 2, norm=float(rng.uniform(0.1, 10.0))) for _ in range(200)]
     for h in hamiltonians:
-        gen = build_generator(h)
-        assert not gen.G.real.any() and not gen.g.real.any()
+        big_g, _ = complex_pair(h)
+        assert not big_g.real.any()
+        assert np.array_equal(build_generator(h), big_g.imag)
 
 
 def test_precomputed_step_matches_complex_rk4():
     rng = np.random.default_rng(67)
     for h in (PAULI_Y, random_hermitian(rng, 2, norm=5.0)):
         p0 = random_channel_probs(rng)
-        gen = build_generator(h)
+        big_g, small_g = complex_pair(h)
 
         def deriv(_t, y):
-            return -1j * (gen.G @ y + gen.g)
+            return -1j * (big_g @ y + small_g)
 
         y = p0
         reference = [p0]
@@ -198,9 +261,9 @@ def test_precomputed_step_matches_complex_rk4():
 
 
 def sequential_trajectory(h, p0, n_whole, dt, remainder):
-    """The per-step loop P[k + 1] = M P[k] + m, then one RK4 step of length remainder when it is positive."""
-    gen = build_generator(h)
-    k_mat, k_vec = gen.G.imag, gen.g.imag
+    """The per-step loop P[k + 1] = M P[k] + m of dP/dt = Im(G) P + Im(g), then one RK4 step of length remainder."""
+    big_g, small_g = complex_pair(h)
+    k_mat, k_vec = big_g.imag, small_g.imag
 
     def deriv(_t, y):
         return k_mat @ y + k_vec
