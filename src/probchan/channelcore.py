@@ -104,17 +104,18 @@ def apply_channel_via_choi(choi, rho) -> np.ndarray:
     return np.einsum("kilj,ij->kl", arr.reshape(d, d, d, d), state)
 
 
-def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
+def kraus_from_choi(choi) -> list[np.ndarray]:
     """Extract a minimal Kraus set from a Hermitian PSD Choi matrix.
 
-    Eigenvalues at or below tol are dropped, so the returned rank equals the
-    numerical rank of the input. Operators come in descending eigenvalue
-    order, each eigenvector's largest-magnitude component rotated to the
-    positive real axis so the output is deterministic.
+    Eigenvalues at or below tol = 1e-9 are dropped, so the returned rank
+    equals the numerical rank of the input. Operators come in descending
+    eigenvalue order, each eigenvector's largest-magnitude component rotated
+    to the positive real axis so the output is deterministic.
 
     Raises ValueError when the input is a stack, is not Hermitian within
     tol or has an eigenvalue below -tol.
     """
+    tol = 1e-9
     arr = as_square(choi, "Choi matrix")
     if arr.ndim != 2:
         raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")

@@ -8,11 +8,13 @@ standard streams. All numbers are written with 17 significant digits so a
 run is reproducible byte for byte.
 
 Exit codes: 0 success; 1 malformed input (unreadable, bad JSON, wrong
-structure, wrong sizes, non-Hermitian Hamiltonian, bad flag values,
-unparseable, missing or unknown flags); 2 structurally valid input with
-out-of-domain values (bad density matrix, probabilities outside [0, 1],
-Bloch or positivity violations, constraint-violating initial data, a Choi
-matrix whose trace is not 2 given to `channel to-probs`).
+structure, wrong sizes, a number or --t-max above 1e150 in magnitude,
+non-Hermitian Hamiltonian, bad flag values, an evolve step where RK4
+diverges, unparseable, missing or unknown flags); 2 structurally valid input
+with out-of-domain values (a matrix or probabilities that are not a positive
+density matrix, in either `state` direction, probabilities outside [0, 1],
+constraint-violating initial data, a Choi matrix whose trace is not 2 given
+to `channel to-probs`).
 """
 
 import argparse
@@ -25,13 +27,17 @@ import sys
 import numpy as np
 
 from . import channelcore, kinetics, probchannel, stateprob
-from .matcore import hermitian_eigvals, require_range
+from .matcore import require_range
 
 __all__ = ["main", "FormatError", "cmd_state", "cmd_channel", "cmd_evolve"]
 
 
 class FormatError(Exception):
     """Input document violates the expected format; maps to exit code 1."""
+
+
+# Largest magnitude of an input number or --t-max: squares and sums of such numbers stay finite.
+_MAX_MAGNITUDE = 1e150
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +80,8 @@ def _as_number(value, what: str) -> float:
         raise FormatError(f"{what} is too large for a float") from None
     if not math.isfinite(number):
         raise FormatError(f"{what} must be finite, got {value!r}")
+    if abs(number) > _MAX_MAGNITUDE:
+        raise FormatError(f"{what} {value!r} exceeds {_MAX_MAGNITUDE:g} in magnitude")
     return number
 
 
@@ -326,28 +334,20 @@ def _write_text(path: str, chunks) -> None:
 
 def cmd_state(args) -> int:
     text = _read_text(args.input)
+    qubit = args.dim == 2
     if args.direction == "to-probs":
-        m = _parse_matrix_doc(text, "state")
-        if m.shape[0] != args.dim:
-            raise FormatError(f"state dim {m.shape[0]} does not match --dim {args.dim}")
-        if args.dim == 2:
-            p = stateprob.qubit_probs_from_density(m)
-        else:
-            p = stateprob.ququart_probs_from_density(m)
-        _write_text(args.output, [_probs_text(p)])
+        rho = _parse_matrix_doc(text, "state")
+        if rho.shape[0] != args.dim:
+            raise FormatError(f"state dim {rho.shape[0]} does not match --dim {args.dim}")
+        out = _probs_text((stateprob.qubit_probs_from_density if qubit else stateprob.ququart_probs_from_density)(rho))
     else:
         p = _parse_probs_doc(text, args.dim**2 - 1)
-        if args.dim == 2:
-            valid, margin = stateprob.qubit_bloch_check(p)
-            if not valid:
-                raise ValueError(f"Bloch restriction violated: squared deviation {margin!r} exceeds 1/4")
-            rho = stateprob.qubit_density_from_probs(p)
-        else:
-            rho = stateprob.ququart_density_from_probs(p)
-            min_eig = float(hermitian_eigvals(rho)[0])
-            if min_eig < -1e-12:
-                raise ValueError(f"probabilities describe a non-positive state: min eigenvalue {min_eig:.3e}")
-        _write_text(args.output, [_matrix_text(rho)])
+        rho = (stateprob.qubit_density_from_probs if qubit else stateprob.ququart_density_from_probs)(p)
+        out = _matrix_text(rho)
+    min_eig = float(np.linalg.eigvalsh(rho)[0])  # a qubit's is 1/2 - sqrt(Bloch margin)
+    if min_eig < -1e-12:
+        raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}; for a qubit, the Bloch restriction fails")
+    _write_text(args.output, [out])
     return 0
 
 
@@ -391,9 +391,11 @@ def cmd_evolve(args) -> int:
     h = _parse_matrix_doc(_read_text(args.hamiltonian), "Hamiltonian")
     try:
         h = kinetics.validate_hamiltonian(h)
-        kinetics.check_time_grid(args.t_max, args.dt)
+        kinetics.check_time_grid(h, args.t_max, args.dt)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    if args.t_max > _MAX_MAGNITUDE:
+        raise FormatError(f"--t-max {args.t_max!r} exceeds {_MAX_MAGNITUDE:g}")
 
     if args.initial == "identity":
         p0 = probchannel.identity_channel_probs()

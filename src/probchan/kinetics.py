@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, hermitian_part, identity, kron, require_hermitian, rk4_step, unitary_exp
+from .matcore import as_length, hamiltonian_part, identity, kron, rk4_step, unitary_exp
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "compare_to_oracle",
 ]
 
-_HERMITICITY_TOL = 1e-12
 MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocated
 _BLOCK = 1024  # samples per evolve_blocks block
 
@@ -58,11 +57,15 @@ def _as_hamiltonian(h) -> np.ndarray:
 
 def validate_hamiltonian(h) -> np.ndarray:
     """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: what unitary_exp evolves too."""
-    return hermitian_part(require_hermitian(_as_hamiltonian(h), _HERMITICITY_TOL, "Hamiltonian"))
+    return hamiltonian_part(_as_hamiltonian(h))
 
 
-def check_time_grid(t_max: float, dt: float) -> float:
-    """t_max / dt, once t_max is positive and finite, 0 < dt <= t_max and the ratio is at most MAX_STEPS."""
+def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
+    """t_max / dt, once t_max is positive and finite, 0 < dt <= t_max, the ratio is at most MAX_STEPS and RK4 is stable.
+
+    h has passed validate_hamiltonian. K has eigenvalues 0 and +-i(l_max - l_min), and RK4's
+    amplification |R(iy)| exceeds 1 exactly when y > 2 sqrt(2): a larger dt (l_max - l_min) diverges.
+    """
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be a positive finite number")
     if not 0.0 < dt <= t_max:
@@ -70,6 +73,9 @@ def check_time_grid(t_max: float, dt: float) -> float:
     ratio = t_max / dt
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {ratio!r} exceeds {MAX_STEPS} steps")
+    spread = float(np.hypot(h[0, 0].real - h[1, 1].real, 2.0 * abs(h[0, 1])))
+    if not dt * spread <= 2.0 * 2.0**0.5:
+        raise ValueError(f"dt * (l_max - l_min) = {dt * spread!r} exceeds 2 sqrt(2): the RK4 steps would diverge")
     return ratio
 
 
@@ -135,14 +141,15 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
         h: 2 x 2 Hermitian matrix.
         p0: 15-vector satisfying the channel constraints within 1e-9.
         t_max: horizon, positive.
-        dt: step, 0 < dt <= t_max, with t_max / dt at most MAX_STEPS.
+        dt: step, 0 < dt <= t_max, with t_max / dt at most MAX_STEPS and
+            dt times h's eigenvalue spread at most 2 sqrt(2).
     """
     k_mat = build_generator(h)
     p = as_length(p0, N_PROBS, "initial probabilities")
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")
-    ratio = check_time_grid(t_max, dt)
+    ratio = check_time_grid(validate_hamiltonian(h), t_max, dt)
 
     def deriv(_t, z):
         return k_mat @ z

@@ -135,6 +135,11 @@ def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(require_hermitian(m, tol)))
 
 
+def hamiltonian_part(h) -> np.ndarray:
+    """hermitian_part(h) once h is Hermitian within 1e-12 entrywise, else ValueError: the one Hamiltonian gate."""
+    return hermitian_part(require_hermitian(h, 1e-12, "Hamiltonian"))
+
+
 def unitary_exp(h, t) -> np.ndarray:
     """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack).
 
@@ -142,7 +147,7 @@ def unitary_exp(h, t) -> np.ndarray:
     Hamiltonian. t is a time or an array of times; its shape broadcasts
     against the stack shape of h, so one h at n times gives shape (n, d, d).
     """
-    vals, vecs = np.linalg.eigh(hermitian_part(require_hermitian(h, 1e-12, "Hamiltonian")))
+    vals, vecs = np.linalg.eigh(hamiltonian_part(h))
     phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ _adjoint(vecs)
 

@@ -37,13 +37,14 @@ __all__ = [
 ]
 
 
-def probs_from_choi(choi, imag_tol: float = 1e-9) -> np.ndarray:
+def probs_from_choi(choi) -> np.ndarray:
     """Probability vector of a 4 x 4 dynamical matrix, or one per matrix of a (..., 4, 4) stack.
 
     The affine image is complex in general; its imaginary part must vanish
-    within imag_tol (it does exactly for Hermitian input), otherwise
+    within imag_tol = 1e-9 (it does exactly for Hermitian input), otherwise
     ValueError. The real part is returned unclipped.
     """
+    imag_tol = 1e-9
     raw = affine_probs(as_length(as_square(choi, "Choi matrix"), 4, "Choi matrix columns", complex))
     residue = np.abs(raw.imag).max(initial=0.0)
     if not residue <= imag_tol:

@@ -56,6 +56,7 @@ __all__ = [
 
 N_PROBS = 15
 _DIM = 4
+_DENSITY_TOL = 1e-10  # Hermiticity, trace and (tomogram) positivity gate of every density matrix read here
 
 
 def _offdiag_pairs(n: int) -> tuple:
@@ -146,13 +147,13 @@ def _as_probs(p, n: int) -> np.ndarray:
     return require_range(as_length(p, n))
 
 
-def _require_density(rho, dim: int, tol: float) -> np.ndarray:
+def _require_density(rho, dim: int) -> np.ndarray:
     arr = np.asarray(rho, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got shape {arr.shape}")
-    require_hermitian(arr, tol, "density matrix")
+    require_hermitian(arr, _DENSITY_TOL, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
-    if not trace_err <= tol:
+    if not trace_err <= _DENSITY_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
     return arr
 
@@ -166,13 +167,13 @@ def qubit_density_from_probs(probs) -> np.ndarray:
     return affine_choi(_as_probs(probs, 3)) / 2.0
 
 
-def qubit_probs_from_density(rho, tol: float = 1e-10) -> np.ndarray:
-    """Read (p1, p2, p3) back off a Hermitian trace-1 matrix, p1 = 1 - rho_11.
+def qubit_probs_from_density(rho) -> np.ndarray:
+    """Read (p1, p2, p3) back off a 2 x 2 matrix, Hermitian with trace 1 within 1e-10; p1 = 1 - rho_11.
 
     Left inverse of qubit_density_from_probs; p1 = 1 - (1 - p1) can round in
-    its last bit when p1 < 1/2.
+    its last bit when p1 < 1/2. Positivity is not checked.
     """
-    return affine_probs(2.0 * _require_density(rho, 2, tol)).real.copy()
+    return affine_probs(2.0 * _require_density(rho, 2)).real.copy()
 
 
 def qubit_bloch_check(probs) -> tuple[bool, float]:
@@ -186,17 +187,17 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
     return margin <= 0.25 + 1e-12, margin
 
 
-def tomogram(rho, direction, tol: float = 1e-10) -> float:
+def tomogram(rho, direction) -> float:
     """Probability of the +1/2 spin outcome along a unit direction.
 
     Args:
         rho: valid qubit density matrix (Hermitian, trace 1, positive
-            semidefinite, all within tol).
+            semidefinite, all within 1e-10).
         direction: real 3-vector of unit Euclidean norm (within 1e-12).
     """
-    arr = _require_density(rho, 2, tol)
-    min_eig = hermitian_eigvals(arr, tol)[0]
-    if min_eig < -tol:
+    arr = _require_density(rho, 2)
+    min_eig = hermitian_eigvals(arr, _DENSITY_TOL)[0]
+    if min_eig < -_DENSITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     n = np.asarray(direction, dtype=float)
     if n.shape != (3,):
@@ -213,13 +214,13 @@ def ququart_density_from_probs(probs) -> np.ndarray:
     return affine_choi(_as_probs(probs, N_PROBS)) / 2.0
 
 
-def ququart_probs_from_density(rho, tol: float = 1e-10) -> np.ndarray:
-    """Read the 15 probabilities back off a Hermitian trace-1 matrix.
+def ququart_probs_from_density(rho) -> np.ndarray:
+    """Read the 15 probabilities back off a 4 x 4 matrix, Hermitian with trace 1 within 1e-10.
 
     Left inverse of ququart_density_from_probs; p1..p3 = 1 - rho_kk can
-    round in their last bit below 1/2.
+    round in their last bit below 1/2. Positivity is not checked.
     """
-    return affine_probs(2.0 * _require_density(rho, _DIM, tol)).real.copy()
+    return affine_probs(2.0 * _require_density(rho, _DIM)).real.copy()
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 def run_cli(args, stdin_text=None):
-    """Run `python -m probchan` in a child process that imports the package from this checkout's src."""
+    """Run `python -W error -m probchan` in a child process that imports the package from this checkout's src.
+
+    -W error turns a warning in the child into a failure, as filterwarnings = ["error"] does in this process.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "probchan", *args],
+        [sys.executable, "-W", "error", "-m", "probchan", *args],
         input=stdin_text,
         capture_output=True,
         text=True,

@@ -102,6 +102,19 @@ def test_state_round_trip_dim4(tmp_path):
     assert np.max(np.abs(parse_matrix(back.stdout) - rho)) < 1e-12
 
 
+def test_state_from_probs_accepts_pure_states(tmp_path):
+    # eigenvalue 0, on the boundary of the positivity rule: |0><0| for a qubit and a ququart, and a tilted qubit
+    tilted = 0.5 + 0.5 * np.array([0.6, 0.8, 0.0])
+    for dim, p, rho in (
+        (2, [1.0, 0.5, 0.5], np.diag([1.0, 0.0])),
+        (4, [1.0] * 3 + [0.5] * 12, np.diag([1.0, 0.0, 0.0, 0.0])),
+        (2, tilted, np.array([[tilted[0], 0.4], [0.4, 1.0 - tilted[0]]])),
+    ):
+        result = run_cli(["state", "from-probs", "--dim", str(dim), write(tmp_path, "p.json", probs_doc(p))])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert np.max(np.abs(parse_matrix(result.stdout) - rho)) <= 1e-15
+
+
 def test_state_bloch_violation_exits_2(tmp_path):
     path = write(tmp_path, "corner.json", probs_doc([1.0, 1.0, 1.0]))
     result = run_cli(["state", "from-probs", "--dim", "2", path])
@@ -269,6 +282,7 @@ BAD_MATRIX_CASES = [
     pytest.param('{"dim": 2, "entries": [[[1%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % ("0" * 399), id="400-digit-integer"),
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
     pytest.param(b'{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0\xff\xfe]]]}', id="not-utf-8"),
+    pytest.param('{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 1e308]]]}', id="number-over-1e150"),
 ]
 
 
@@ -295,6 +309,15 @@ def test_exit_codes_on_invalid_values(tmp_path):
 
     bad_trace = write(tmp_path, "tr.json", matrix_doc(np.eye(2)))
     assert run_cli(["state", "to-probs", "--dim", "2", bad_trace]).returncode == 2
+
+    # Hermitian with trace 1 but a negative eigenvalue: not a density matrix, so no probabilities are written
+    out = tmp_path / "probs.json"
+    for diagonal in ([1.5, -0.5], [1.5, -0.5, 0.0, 0.0]):
+        negative = write(tmp_path, "neg.json", matrix_doc(np.diag(diagonal)))
+        result = run_cli(["state", "to-probs", "--dim", str(len(diagonal)), negative, "-o", str(out)])
+        assert result.returncode == 2 and not out.exists()
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "min eigenvalue -5.000e-01" in result.stderr
 
     skew = np.zeros((4, 4))
     skew_doc = matrix_doc(skew + np.triu(np.ones((4, 4)), 1))
@@ -478,16 +501,23 @@ def test_refused_evolve_writes_no_file(tmp_path, capsys):
     bad_h = write(tmp_path, "bh.json", matrix_doc(np.array([[0.0, 1.0], [0.0, 0.0]])))
     flat = write(tmp_path, "flat.json", probs_doc([0.5] * 15))
     out = tmp_path / "out.csv"
+    fast_h = write(tmp_path, "fh.json", matrix_doc(100.0 * np.array([[0.0, 1.0], [1.0, 0.0]])))
+    huge_h = write(tmp_path, "hh.json", matrix_doc(np.full((2, 2), 1e308)))
+    scalar_h = write(tmp_path, "sh.json", matrix_doc(2.0 * np.eye(2)))
     refused = [
         (["--hamiltonian", good_h, "--t-max", "1", "--initial", flat], 2),
         (["--hamiltonian", bad_h, "--t-max", "1"], 1),
         (["--hamiltonian", good_h, "--t-max", "10", "--dt", "5e-324"], 1),
+        (["--hamiltonian", fast_h, "--t-max", "1", "--dt", "0.1"], 1),  # RK4 diverges: dt * spread = 20
+        (["--hamiltonian", fast_h, "--t-max", "1", "--dt", "0.0142"], 1),  # dt * spread = 2.84 > 2 sqrt(2)
+        (["--hamiltonian", huge_h, "--t-max", "1"], 1),  # numbers above 1e150
+        (["--hamiltonian", scalar_h, "--t-max", "1e308", "--dt", "1e304"], 1),
     ]
     for args, code in refused:
         assert cli.main(["evolve", *args, "--oracle", "--output", str(out)]) == code
         assert not out.exists()
-
-    assert capsys.readouterr().err.count("error: ") == len(refused)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
     # a Hamiltonian within the 1e-12 Hermiticity gate runs, and both RK4 and the oracle evolve its Hermitian part
     near = np.array([[1.0 + 1e-13j, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
@@ -527,6 +557,23 @@ def test_unwritable_output_exits_1(tmp_path):
         result = run_cli(args)
         assert result.returncode == 1
         assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1
+
+
+def test_input_numbers_are_bounded_by_1e150(tmp_path):
+    # beyond 1e150 a number is refused before any output is opened; at 1e150 squares and sums stay finite
+    out = tmp_path / "out.json"
+    for value, want in ((1e308, 1), (-1e151, 1), (1e150, 0), (-1e150, 0)):
+        kraus = write(tmp_path, "k.json", kraus_doc([np.full((2, 2), value), np.eye(2)]))
+        choi = write(tmp_path, "c.json", matrix_doc((1 + 1j) * np.full((4, 4), value)))
+        for args in (["choi-from-kraus", kraus], ["check", choi]):
+            code, _, err = run_in_process(["channel", *args, "-o", str(out)])
+            assert code == want, (value, args, err)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+            else:
+                assert err == ""
+                json.loads(out.read_text())  # %.17g prints inf and nan, which are not JSON
+                out.unlink()
 
 
 def run_in_process(argv):

@@ -231,6 +231,24 @@ def test_evolve_rejects_step_counts_over_the_cap():
                 evolve(PAULI_Z, p0, t_max, dt)
 
 
+def test_evolve_refuses_steps_where_rk4_diverges():
+    # K has eigenvalues 0 and +-i (l_max - l_min); |R(iy)| of RK4 exceeds 1 exactly when y > 2 sqrt(2)
+    limit = 2.0 * np.sqrt(2.0)
+    for y, grows in ((limit * (1 - 1e-9), False), (limit * (1 + 1e-9), True)):
+        z = 1j * y
+        assert (abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) > 1.0) == grows
+    p0 = identity_channel_probs()
+    rng = np.random.default_rng(67)
+    for h in (100.0 * PAULI_X, *(random_hermitian(rng, 2) for _ in range(5))):
+        eigs = np.linalg.eigvalsh(h)
+        edge = limit / (eigs[1] - eigs[0])
+        for evolve in (evolve_probs, evolve_blocks):
+            with pytest.raises(ValueError, match="2 sqrt"):
+                evolve(h, p0, 10 * edge, edge * (1 + 1e-9))
+        traj = evolve_probs(h, p0, 1000 * edge, edge * (1 - 1e-9))
+        assert np.max(np.abs(traj.probs - P_STAR)) <= 0.5 + 1e-9
+
+
 def test_generator_real_part_is_exactly_zero():
     rng = np.random.default_rng(66)
     hamiltonians = [PAULI_X, PAULI_Y, PAULI_Z]
