@@ -165,15 +165,16 @@ def _report_text(report: channelcore.CptpReport) -> str:
 
 
 # Every evolve CSV cell is exactly the %.17g text of its double. Cells with
-# 1e-4 <= |x| < 1e17, which %g prints in fixed notation, are laid out from
+# 1e-2 <= |x| < 1e17, which %g prints in fixed notation, are laid out from
 # their 17 significant digits D = round-half-even(|x| * 10**(16 - E)), with
 # E = floor(log10 |x|), all in numpy. D is exact: 10**k is an exact double for
 # k <= 22, and Dekker's TwoProduct (Numer. Math. 18, 1971) gives hi + lo equal
-# to |x| * 10**k with no rounding. Each cell becomes nine little-endian 4-byte
-# words of NUL-padded text: sign with "0." or "0.0", further leading zeros, the
-# six 3-digit groups of D (the first holds two digits) with the decimal point
-# and trailing zeros settled, and the separator. Every other cell (0, -0, NaN,
-# inf, |x| < 1e-4, |x| >= 1e17) is formatted by % in one batch and spliced in.
+# to |x| * 10**k with no rounding. Each cell becomes seven little-endian 4-byte
+# words of NUL-padded text: the separator that leads it ("," or a newline, none
+# for the first cell) with the sign and, when E < 0, "0."; then the six 3-digit
+# groups of D (the first holds two digits, and the zero of "0.0" when E = -2)
+# with the point and trailing zeros settled. Every other cell (0, -0, NaN, inf,
+# |x| < 1e-2, |x| >= 1e17) fills its last 24 bytes from one batch of %24.17g.
 
 _POW10 = 10.0 ** np.arange(23)
 _SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
@@ -221,47 +222,45 @@ def _group_words() -> np.ndarray:
 
 @functools.cache
 def _csv_tables():
-    """The word table and, per layout code, the nine word indices before group values are added.
+    """The word table and, per layout code, the seven word indices before group values are added.
 
-    A cell's layout code is (((E + 4) * 6 + last) * 2 + negative) * 2 + row_end,
-    where last is the index of D's last non-zero group. Built on first use,
-    so commands other than evolve do not pay for it; both arrays are read-only.
+    A cell's layout code is (((E + 2) * 6 + last) * 2 + negative) * 3 + lead,
+    where last is the index of D's last non-zero group and lead is 0 for ",",
+    1 for a newline and 2 for none. Built on first use, so commands other than
+    evolve do not pay for it; both arrays are read-only.
     """
     groups = _group_words()
-    lead, zeros, sep = len(groups), len(groups) + 6, len(groups) + 9
-    texts = [sign + prefix for sign in (b"", b"-") for prefix in (b"", b"0.", b"0.0")] + [b"", b"0", b"00", b",", b"\n"]
-    words = np.concatenate([groups, [int.from_bytes(t.ljust(4, b"\0"), "little") for t in texts]]).astype(np.uint32)
+    leads = [sep + sign + prefix for sep in (b",", b"\n", b"") for sign in (b"", b"-") for prefix in (b"", b"0.")]
+    words = np.concatenate([groups, [int.from_bytes(t.ljust(4, b"\0"), "little") for t in leads]]).astype(np.uint32)
 
-    e = np.arange(-4, 17)[:, None, None]
+    e = np.arange(-2, 17)[:, None, None]
     group = np.arange(6)
     slot = e - (3 * group - 1)  # the point follows digit e; group j starts at digit 3 j - 1
     point = np.where((e >= 0) & (slot >= 0) & (slot <= 2), slot + 1, 0)
     strip = (group >= np.arange(6)[:, None]) & (slot < 3)  # group at or after the last non-zero one
-    codes = np.empty((21, 6, 2, 2, 9), np.intp)
-    codes[..., 0] = (lead + np.clip(-e, 0, 2))[..., None] + [[0], [3]]
-    codes[..., 1] = (zeros + np.clip(-e - 2, 0, 2))[..., None]
-    codes[..., 2:8] = ((group > 0) * 8000 + (point * 2 + strip) * 1000)[:, :, None, None, :]
-    codes[..., 8] = [sep, sep + 1]
+    first = (group == 0) & (e != -2)  # slot 0 is NUL, but at E = -2 group 0 keeps its leading 0, that of "0.0"
+    codes = np.empty((19, 6, 2, 3, 7), np.intp)
+    codes[..., 0] = len(groups) + (e[..., None] < 0) + [[0], [2]] + 4 * np.arange(3)
+    codes[..., 1:] = ((~first) * 8000 + (point * 2 + strip) * 1000)[:, :, None, None, :]
     words.setflags(write=False)
     codes.setflags(write=False)
-    return words, codes.reshape(-1, 9), zeros
+    return words, codes.reshape(-1, 7)
 
 
 def _csv_text(table: np.ndarray) -> str:
-    """("%.17g,...,%.17g\n" * rows) % tuple(table.ravel()) for a 2-D float array, byte for byte."""
+    """("%.17g,...,%.17g\n" * rows) % tuple(table.ravel()) for a non-empty 2-D float array, byte for byte."""
     rows, cols = table.shape
     cells = table.ravel()
     a = np.abs(cells)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+    slow = np.flatnonzero(~((a >= 1e-2) & (a < 1e17)))
     a[slow] = 1.0
-    words, codes, blank = _csv_tables()
+    words, codes = _csv_tables()
 
     # E from log10, then moved by one where hi + lo leaves [1e16, 1e17)
-    e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    e = np.clip(np.floor(np.log10(a)), -2, 16).astype(np.intp)
     hi, lo = _exact_scale(a, 16 - e)
-    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
-    if shift.any():
-        e += shift
+    if ((hi >= 1e17) | (hi <= 1e16)).any():
+        e += ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
         hi, lo = _exact_scale(a, 16 - e)
     # hi >= 1e16 > 2**53 is an even integer, so adding rint(lo) rounds hi + lo half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
@@ -270,33 +269,32 @@ def _csv_text(table: np.ndarray) -> str:
     e += carry
 
     upper = d // 10**9
-    halves = np.stack([upper, d - upper * 10**9]).astype(float)  # below 1e9, so exact
-    top = np.floor((halves + 0.5) * 1e-6)
-    rest = halves - top * 1e6
-    mid = np.floor((rest + 0.5) * 1e-3)
-    low = rest - mid * 1e3
+    halves = np.stack([upper, d - upper * 10**9])
+    top = halves // 10**6
+    rest = halves - top * 10**6
+    mid = rest // 1000
+    low = rest - mid * 1000
     tail = np.maximum(mid != 0, 2 * (low != 0))  # last non-zero group of each half; the upper top never is 0
     last = np.where(halves[1] != 0, 3 + tail[1], tail[0])
 
-    code = (((e + 4) * 6 + last) * 2 + (cells < 0)) * 2
-    code.reshape(rows, cols)[:, -1] += 1
+    negative = cells < 0
+    negative[slow] = False  # the % text carries the sign
+    code = (((e + 2) * 6 + last) * 2 + negative) * 3
+    code.reshape(rows, cols)[:, 0] += 1  # a newline leads each row's first cell
+    code[0] += 1  # and nothing the text's first
     index = np.take(codes, code, axis=0)
-    index.T[2:8:3] += top.astype(np.intp)
-    index.T[3:8:3] += mid.astype(np.intp)
-    index.T[4:8:3] += low.astype(np.intp)
-    index[slow, :8] = blank
+    index.T[1:7:3] += top
+    index.T[2:7:3] += mid
+    index.T[3:7:3] += low
     text = np.take(words, index)
     if slow.size:
         spliced = ("%24.17g" * slow.size) % tuple(cells[slow].tolist())
-        text.view(np.uint8)[slow, :24] = np.frombuffer(spliced.encode("ascii"), np.uint8).reshape(-1, 24)
-    return text.tobytes().translate(None, b"\0 ").decode("ascii")
-
-
-_CSV_ROWS = 256  # rows per _csv_text call, which holds about 10 kB of numpy temporaries per row
+        text.view(np.uint8)[slow, 4:] = np.frombuffer(spliced.encode("ascii"), np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0 ").decode("ascii") + "\n"
 
 
 def _trajectory_csv(blocks, h):
-    """CSV lines of a trajectory given as (times, probs) blocks, one string per _CSV_ROWS rows.
+    """CSV lines of a trajectory given as (times, probs) blocks, one string per block.
 
     With a Hamiltonian h (not None) each block gains the columns o1..o15 of
     oracle_probs at its times, and a last line gives max_dev, the largest
@@ -306,14 +304,13 @@ def _trajectory_csv(blocks, h):
     yield ",".join(names) + "\n"
     max_dev = 0.0
     for times, probs in blocks:
-        columns = [times[:, None], probs]
+        table = np.empty((len(times), len(names)))
+        table[:, 0] = times
+        table[:, 1:16] = probs
         if h is not None:
-            oracle = kinetics.oracle_probs(h, times)
-            max_dev = np.maximum(max_dev, np.max(np.abs(probs - oracle)))
-            columns.append(oracle)
-        table = np.hstack(columns)
-        for start in range(0, len(table), _CSV_ROWS):
-            yield _csv_text(table[start : start + _CSV_ROWS])
+            table[:, 16:] = kinetics.oracle_probs(h, times)
+            max_dev = np.maximum(max_dev, np.max(np.abs(probs - table[:, 16:])))
+        yield _csv_text(table)
     if h is not None:
         yield "# max_dev=" + _fmt(max_dev) + "\n"
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, hamiltonian_part, identity, kron, rk4_step, unitary_exp
+from .matcore import as_length, hamiltonian_part, identity, kron, rk4_step
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -42,22 +42,18 @@ __all__ = [
 ]
 
 MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocated
-_BLOCK = 1024  # samples per evolve_blocks block
+_BLOCK = 256  # samples per evolve_blocks block; cli formats one block per _csv_text call, ~10 kB of temporaries a row
 
 P_STAR = probs_from_choi(identity(4) / 2.0)  # the completely depolarising channel: 3/4 three times, then 1/2
 P_STAR.setflags(write=False)
 
 
-def _as_hamiltonian(h) -> np.ndarray:
+def validate_hamiltonian(h) -> np.ndarray:
+    """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: what the oracle evolves too."""
     arr = np.asarray(h, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2 x 2 Hamiltonian, got shape {arr.shape}")
-    return arr
-
-
-def validate_hamiltonian(h) -> np.ndarray:
-    """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: what unitary_exp evolves too."""
-    return hamiltonian_part(_as_hamiltonian(h))
+    return hamiltonian_part(arr)
 
 
 def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
@@ -201,15 +197,20 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
 
 
 def oracle_probs(h, t) -> np.ndarray:
-    """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), from one eigh of h.
+    """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), as m + cos(w t) c + sin(w t) s.
 
-    h is 2 x 2 and Hermitian within 1e-12, which unitary_exp checks once per
-    call. t is a time, giving shape (15,), or a 1-D array of n times, giving
-    (n, 15).
+    One eigh gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With Y = vec(P_1) vec(P_0)^dagger,
+    D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is the probability vector
+    of the sum and c + i s = 2 prob_matrix vec(Y). A row depends on its own time only, so any split of
+    the times gives the same bits. h is 2 x 2 and Hermitian within 1e-12, checked once per call. t is a
+    time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
     """
-    times = np.asarray(t, dtype=float)
-    v = unitary_exp(_as_hamiltonian(h), times.reshape(-1)).reshape(-1, 4)
-    return probs_from_choi(v[:, :, None] * v[:, None, :].conj()).reshape(times.shape + (N_PROBS,))
+    vals, vecs = np.linalg.eigh(validate_hamiltonian(h))
+    v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
+    m = probs_from_choi(v.T @ v.conj())
+    cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))
+    phase = (vals[1] - vals[0]) * np.asarray(t, dtype=float)
+    return m + np.cos(phase)[..., None] * cs.real + np.sin(phase)[..., None] * cs.imag
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:

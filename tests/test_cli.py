@@ -19,6 +19,7 @@ from conftest import (
     random_hermitian,
     random_tp_kraus,
     run_cli,
+    run_python,
 )
 
 
@@ -424,6 +425,9 @@ def csv_corpus():
         lo, hi = 10.0**e * 2.0 ** (17 - e), min(10.0 ** (e + 1) * 2.0 ** (17 - e), 2.0**53)
         ties.append((rng.integers(int(np.ceil(lo)), int(hi), 200) | 1) * 2.0 ** (e - 17))
     edges = [1e-4, 1e17, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 99999999999999984.0]
+    # 1e-2, where fixed layout starts: the double and its neighbours on both sides, either sign
+    up = np.nextafter(1e-2, 1.0)
+    hundredth = np.array([np.nextafter(1e-2, 0.0), 1e-2, up, np.nextafter(up, 1.0)])
     fast = rng.uniform(-10, 10, n)
     slow = np.concatenate([rng.uniform(1e-9, 1e-5, n // 2), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e20, -3e17]])
     mixed = fast.copy()
@@ -440,13 +444,22 @@ def csv_corpus():
         "powers of ten and neighbours": np.concatenate([powers, below, above, -below, -above]),
         "integers and short decimals": np.concatenate([np.arange(1000.0), np.arange(1000) / 8.0, np.arange(1000) / 1e3]),
         "edges": np.array(edges + [np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0)]),
+        "1e-2 and neighbours": np.concatenate([hundredth, -hundredth]),
+        "[1e-4, 1e-2)": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, -2, n),
+        # E = -2 with trailing zeros in D: short decimals and dyadic fractions in [1e-2, 1e-1)
+        "E = -2 short": np.concatenate(
+            [np.arange(1000, 10000) / 1e5, np.arange(11, 103) / 1024.0, -np.arange(1, 7) / 64.0]
+        ),
         "mixed fast and slow": mixed,
         "slow only": slow,
     }
 
 
 def assert_csv_matches(cells, cols, what):
-    table = np.resize(cells, (-(-len(cells) // cols), cols))
+    assert_table_matches(np.resize(cells, (-(-len(cells) // cols), cols)), what)
+
+
+def assert_table_matches(table, what):
     got, want = cli._csv_text(table), percent_csv(table)
     if got != want:  # name the differing cells; a diff of the whole text is slow
         pairs = zip(got.replace("\n", ",\n").split(","), want.replace("\n", ",\n").split(","))
@@ -457,6 +470,42 @@ def assert_csv_matches(cells, cols, what):
 def test_csv_text_is_percent_formatting(cols):
     for name, cells in csv_corpus().items():
         assert_csv_matches(cells, cols, name)
+
+
+def test_import_builds_no_formatter_table_and_calls_no_eigensolver():
+    """Importing the CLI stays cheap: the word table is built on the first evolve, and no eigh runs at import."""
+    script = """
+import numpy as np
+calls = []
+for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+    solver = getattr(np.linalg, name)
+    setattr(np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k))
+from probchan import cli
+print(cli._csv_tables.cache_info().currsize, calls)
+cli._csv_text(np.eye(2))
+print(cli._csv_tables.cache_info().currsize)
+"""
+    result = run_python(["-c", script])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n1\n"
+
+
+def test_csv_text_slow_cells_at_row_edges():
+    """Cells formatted by % where a separator leads, or none does: first cell, first and last columns, thin tables."""
+    rng = np.random.default_rng(910)
+    slow = [0.0, -0.0, np.nan, -np.inf, 1e-3, -5e-5, 1e20, np.nextafter(1e-2, 0.0)]
+    for value in slow:
+        for rows, cols in ((4, 31), (1, 31), (5, 1), (1, 1), (3, 2)):
+            base = rng.uniform(-10.0, 10.0, (rows, cols))
+            for where in ((0, 0), (slice(None), 0), (slice(None), -1), (slice(None), slice(None))):
+                table = base.copy()
+                table[where] = value
+                assert_table_matches(table, f"{value!r} at {where} of {rows} x {cols}")
+        # every other cell slow, and a fast first cell in a slow table
+        table = np.full((3, 5), value)
+        table[0, 0] = 0.5
+        table[1, ::2] = -0.0625
+        assert_table_matches(table, f"mixed {value!r}")
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

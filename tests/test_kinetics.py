@@ -332,6 +332,30 @@ def test_batched_oracle_matches_per_time_closed_form():
     assert oracle_probs(PAULI_Z, 0.5).shape == (15,)
 
 
+def test_closed_form_oracle_matches_stacked_unitary_exp():
+    """m + cos(w t) c + sin(w t) s against probs_from_choi(vec(U) vec(U)^dagger), U from unitary_exp."""
+    rng = np.random.default_rng(72)
+    times = np.concatenate([[0.0, 10.0], rng.uniform(0.0, 10.0, 48)])
+    hamiltonians = [PAULI_X, PAULI_Y, PAULI_Z, 2.5 * identity(2), -0.7 * identity(2), np.zeros((2, 2))]
+    hamiltonians += [random_hermitian(rng, 2, norm=float(rng.uniform(0.2, 5.0))) for _ in range(200)]
+    for h in hamiltonians:
+        v = vec(unitary_exp(h, times))
+        reference = probs_from_choi(v[:, :, None] * v[:, None, :].conj())
+        assert np.max(np.abs(oracle_probs(h, times) - reference)) <= 1e-14
+
+
+def test_oracle_is_elementwise_in_time():
+    """One call on a grid equals, bit for bit, the rows of calls on any split of it, as the CLI's blocks rely on."""
+    rng = np.random.default_rng(73)
+    times = np.arange(3035) * 0.003
+    for h in (PAULI_X, PAULI_Z, random_hermitian(rng, 2, norm=4.0)):
+        whole = oracle_probs(h, times)
+        for cuts in ([256, 512, 768], [1, 2, 3, 1000], sorted(rng.choice(np.arange(1, 3035), 40, replace=False))):
+            parts = [oracle_probs(h, part) for part in np.split(times, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(np.stack([oracle_probs(h, t) for t in times[:50]]), whole[:50])
+
+
 def test_oracle_gates_the_hamiltonian_once(monkeypatch):
     with pytest.raises(ValueError, match="Hamiltonian is not Hermitian"):
         oracle_probs([[0.0, 1.0], [0.0, 0.0]], np.linspace(0.0, 1.0, 5))
