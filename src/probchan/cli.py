@@ -15,14 +15,19 @@ with out-of-domain values (a matrix or probabilities that are not a positive
 density matrix, in either `state` direction, probabilities outside [0, 1],
 constraint-violating initial data, a Choi matrix whose trace is not 2 given
 to `channel to-probs`).
+
+The command line is read by argparse's rules, without argparse, from one
+table of arguments per subcommand. A usage error is one `error:` line and
+exit 1; `-h` or `--help` prints a usage built from the table and exits 0.
 """
 
-import argparse
 import contextlib
 import functools
 import json
 import math
+import re
 import sys
+import types
 
 import numpy as np
 
@@ -405,58 +410,153 @@ def cmd_evolve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are FormatErrors (exit 1), not SystemExit(2)."""
-
-    def error(self, message):
-        raise FormatError(message)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The process's one parser, built on first use and never changed; main looks up cmd_* at call time."""
-    parser = _Parser(
-        prog="probchan",
-        description="Probability-vector representation of qubit states and channels.",
+# The help and arguments of the top level (None) and of each subcommand, as (names, dest, type, default, choices,
+# help): a positional has no names, a flag of type None takes no value, a default of None marks a required argument
+# and any other default is written as it would be typed.
+# _parse reads argv by argparse's rules, so it accepts and refuses what argparse did, with the same values and text.
+_HELP = (("-h", "--help"), "help", None, False, None, "show this help and exit")
+_INPUT = ((), "input", str, None, None, "input file path, or - for stdin")
+_OUTPUT = (("-o", "--output"), "output", str, "-", None, "output file path, or - for stdout")
+_COMMANDS = {
+    None: ("Probability-vector representation of qubit states and channels.", (
+        ((), "command", str, None, ("state", "channel", "evolve"), "the subcommand, listed below"),)),
+    "state": ("density matrix <-> probability vector", (
+        ((), "direction", str, None, ("to-probs", "from-probs"), "conversion direction"),
+        _INPUT,
+        (("--dim",), "dim", int, None, (2, 4), "Hilbert space dimension"),
+        _OUTPUT)),
+    "channel": ("inspect and convert channel representations", (
+        ((), "action", str, None, ("check", "choi-from-kraus", "to-probs", "from-probs"), "what to do with the input"),
+        _INPUT,
+        (("--tolerance",), "tolerance", float, "1e-9", None, "verdict, residual and trace tolerance"),
+        _OUTPUT)),
+    "evolve": ("integrate the kinetic equation, emit a CSV trajectory", (
+        (("--hamiltonian",), "hamiltonian", str, None, None, "MatrixFile with the 2 x 2 Hamiltonian, or -"),
+        (("--t-max",), "t_max", float, None, None, "time horizon"),
+        (("--dt",), "dt", float, "1e-3", None, "RK4 step"),
+        (("--initial",), "initial", str, "identity", None, "ProbsFile with 15 initial probabilities, or 'identity'"),
+        (("--oracle",), "oracle", None, False, None, "append closed-form columns o1..o15 and a max_dev line"),
+        (("--output",), "output", str, "-", None, "output file path, or - for stdout"))),
+}
+# per table: its option strings in argparse's order, help first, its positionals and its defaults
+_INDEX = {
+    command: (
+        {o: a for a in (_HELP, *table) for o in a[0]},
+        [a for a in table if not a[0]],
+        {a[1]: a[2](a[3]) if a[2] else a[3] for a in table if a[3] is not None},
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, table) in _COMMANDS.items()
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    state = sub.add_parser("state", help="density matrix <-> probability vector")
-    state.add_argument("direction", choices=("to-probs", "from-probs"))
-    state.add_argument("input", help="input file path, or - for stdin")
-    state.add_argument("--dim", type=int, choices=(2, 4), required=True, help="Hilbert space dimension")
-    state.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
 
-    channel = sub.add_parser("channel", help="inspect and convert channel representations")
-    channel.add_argument("action", choices=("check", "choi-from-kraus", "to-probs", "from-probs"))
-    channel.add_argument("input", help="input file path, or - for stdin")
-    channel.add_argument(
-        "--tolerance", type=float, default=1e-9, help="verdict, residual and trace tolerance (default 1e-9)"
-    )
-    channel.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
+class _Help(Exception):
+    """-h or --help was read; the message is the usage text to print."""
 
-    evolve = sub.add_parser("evolve", help="integrate the kinetic equation, emit a CSV trajectory")
-    evolve.add_argument("--hamiltonian", required=True, help="MatrixFile with the 2 x 2 Hamiltonian, or -")
-    evolve.add_argument("--t-max", type=float, required=True, help="time horizon")
-    evolve.add_argument("--dt", type=float, default=1e-3, help="RK4 step (default 1e-3)")
-    evolve.add_argument(
-        "--initial",
-        default="identity",
-        help="ProbsFile with 15 initial probabilities, or the literal 'identity' (default)",
-    )
-    evolve.add_argument("--oracle", action="store_true", help="append closed-form columns o1..o15 and a max_dev line")
-    evolve.add_argument("--output", default="-", help="output file path, or - for stdout (default)")
 
-    return parser
+def _usage(command) -> str:
+    """The --help text of the top level (command None) or of one subcommand, one line per argument."""
+    about, table = _COMMANDS[command]
+    rows = []
+    for names, dest, convert, default, choices, text in (*table, _HELP):
+        spelled = (", ".join(names) or dest) + (" {%s}" % ",".join(map(str, choices)) if choices else "")
+        note = " (required)" if default is None else f" (default {default})" if convert else ""
+        rows.append(f"  {spelled:<32} {text}{note}\n")
+    if command is None:  # a row for each subcommand, under the command's
+        rows[1:1] = [f"    {name:<30} {text}\n" for name, (text, _) in list(_COMMANDS.items())[1:]]
+    return f"usage: probchan {command or 'COMMAND'} [-h] ...\n\n{about}\n\n" + "".join(rows)
+
+
+def _error(arg, message: str) -> FormatError:
+    return FormatError(f"argument {'/'.join(arg[0]) or arg[1]}: {message}")
+
+
+def _option(options: dict, word: str):
+    """argparse's reading of word: None for a positional, else (argument or None if unknown, option, attached value)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name, equals, value = (word, "", None) if word in options else word.partition("=")
+    if name in options:
+        return options[name], name, value if equals else None
+    if word[1] == "-":  # a unique prefix of a long option
+        found = [(options[o], o, value if equals else None) for o in options if o.startswith(name)]
+    else:  # a short option with its value attached
+        found = [(options[o], o, word[2:]) for o in options if o == word[:2]]
+    if len(found) > 1:
+        raise FormatError(f"ambiguous option: {word} could match {', '.join(o for _, o, _ in found)}")
+    return found[0] if found else None if _NEGATIVE_NUMBER.match(word) or " " in word else (None, word, None)
+
+
+def _scan(command, words: list, args: types.SimpleNamespace, extras: list):
+    """Read words into args; at the top level (command None) return the index of the word after the command."""
+    options, pending, defaults = _INDEX[command]
+    pending, taken = pending[:], False  # taken: the last word went to a positional
+    vars(args).update(defaults)
+    end = words.index("--") if "--" in words else len(words)  # every word after the first "--" is positional
+    kinds = [_option(options, word) for word in words[:end]] + ["--"] + [None] * (len(words) - end - 1)
+    i = 0
+    while i < len(words):
+        word, kind, i = words[i], kinds[i], i + 1
+        if kind == "--" and command is None:  # argparse takes it as the command, when anything follows it
+            kind = None if i < len(words) else (None, word, None)
+        if kind == "--" and (taken or pending):
+            continue  # dropped with the positional next to it
+        if kind is None and pending:
+            arg, value, taken = pending.pop(0), word, True
+        elif kind is None or kind == "--" or kind[0] is None:  # surplus positional, stray "--" or unknown option
+            extras.append(word)
+            taken = False
+            continue
+        else:
+            (arg, flag, value), taken = kind, False
+            helped = arg is _HELP
+            while arg[2] is None and value and flag[1] != "-" and "-" + value[0] in options:  # -hX reads as -h -X
+                flag = "-" + value[0]
+                arg, value = options[flag], value[1:] or None
+            if arg[2] is None and value is not None:  # a flag without a type takes no value
+                raise _error(arg, f"ignored explicit argument {value!r}")
+            if arg[2] is not None and value is None:
+                if kinds[i] is not None:
+                    raise _error(arg, "expected one argument")
+                value, i = words[i], i + 1
+            if helped:
+                raise _Help(_usage(command))
+        convert, choices = arg[2], arg[4]
+        try:
+            value = convert(value) if convert else True
+        except ValueError:
+            raise _error(arg, f"invalid {convert.__name__} value: {value!r}") from None
+        if choices and value not in choices:
+            raise _error(arg, f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        setattr(args, arg[1], value)
+        if command is None:
+            return i
+    missing = ["/".join(a[0]) or a[1] for a in _COMMANDS[command][1] if a[3] is None and not hasattr(args, a[1])]
+    if missing:
+        raise FormatError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise FormatError("unrecognized arguments: " + " ".join(extras))
+
+
+def _parse(argv: list) -> types.SimpleNamespace:
+    """The command and its arguments; raises FormatError on a usage error, _Help for -h and --help."""
+    args, extras = types.SimpleNamespace(), []  # extras: unknown options and surplus positionals, refused last
+    # the command is the first word without a leading dash at the latest, so the top level reads no further
+    first = next((k for k, word in enumerate(argv) if word[:1] != "-"), len(argv))
+    rest = _scan(None, argv[: first + 1], args, extras)
+    _scan(args.command, argv[rest:], args, extras)
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return {"state": cmd_state, "channel": cmd_channel, "evolve": cmd_evolve}[args.command](args)
+    except _Help as usage:
+        print(usage, end="")
+        return 0
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import copy
+import functools
 import io
 import json
 import tracemalloc
@@ -473,21 +476,22 @@ def test_csv_text_is_percent_formatting(cols):
 
 
 def test_import_builds_no_formatter_table_and_calls_no_eigensolver():
-    """Importing the CLI stays cheap: the word table is built on the first evolve, and no eigh runs at import."""
+    """Importing the CLI stays cheap: the word table is built on the first evolve, no eigh runs, no argparse loads."""
     script = """
 import numpy as np
 calls = []
 for name in ("eigh", "eigvalsh", "eig", "eigvals"):
     solver = getattr(np.linalg, name)
     setattr(np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k))
+import sys
 from probchan import cli
-print(cli._csv_tables.cache_info().currsize, calls)
+print(cli._csv_tables.cache_info().currsize, calls, "argparse" in sys.modules)
 cli._csv_text(np.eye(2))
 print(cli._csv_tables.cache_info().currsize)
 """
     result = run_python(["-c", script])
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "0 []\n1\n"
+    assert result.stdout == "0 [] False\n1\n"
 
 
 def test_csv_text_slow_cells_at_row_edges():
@@ -688,7 +692,7 @@ HOSTILE_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-(10**400), 10**400),
     st.sampled_from([0, 1, -0.0, 1.0 + 2.0**-52, 5e-324, True, None, "0.5", [], [0.5, 0], {}, 3, 16]),
-)
+).map(copy.deepcopy)  # a fresh [] or {} each time: documents mutates what it draws
 TOLERANCES = ["0", "-0", "1e-9", "1", "5e-324", "1e308", "nan", "inf", "-inf", "-1"]
 T_MAX = ["1", "0.25", "1e-3", "0", "-1", "nan", "inf", "1e308", "5e-324"]
 DT = ["0.01", "0.3", "1e-3", "0", "-0.1", "nan", "inf", "5e-324", "2", "1e-7"]
@@ -777,10 +781,11 @@ UNKNOWN_FLAGS = ["--bogus", "-x", "--dims=2", "--oracle-only"]
 
 @st.composite
 def refused_flag_runs(draw, workdir):
-    """A cli_runs argv with one flag argparse refuses.
+    """A cli_runs argv with one flag the command line refuses.
 
     That is an unknown flag, an unparseable number, --dim 3, or a required
-    flag dropped (--dim, --hamiltonian or --t-max).
+    flag dropped (--dim, --hamiltonian or --t-max), each a usage error of
+    the flag table.
     """
     argv, files = draw(cli_runs(workdir))
     breaks = {"state": ["dim 3", "--dim"], "channel": ["number"], "evolve": ["number", "--hamiltonian", "--t-max="]}
@@ -807,7 +812,7 @@ def corpus_dir(tmp_path_factory):
 def test_cli_contract_on_generated_inputs(corpus_dir):
     """Every run exits 0, 1 or 2, prints one error: line exactly when it fails, and raises nothing.
 
-    A run with a flag argparse refuses exits 1 and prints that one line alone.
+    A run with a flag the flag table refuses exits 1 and prints that one line alone.
     """
 
     def run(argv, files):
@@ -831,3 +836,191 @@ def test_cli_contract_on_generated_inputs(corpus_dir):
 
     check()
     check_refused()
+
+
+# ---------------------------------------------------------------------------
+# the flag table against the argparse parser it replaced, copied as it was
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are FormatErrors (exit 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise cli.FormatError(message)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The process's one parser, built on first use and never changed; main looks up cmd_* at call time."""
+    parser = _Parser(
+        prog="probchan",
+        description="Probability-vector representation of qubit states and channels.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    state = sub.add_parser("state", help="density matrix <-> probability vector")
+    state.add_argument("direction", choices=("to-probs", "from-probs"))
+    state.add_argument("input", help="input file path, or - for stdin")
+    state.add_argument("--dim", type=int, choices=(2, 4), required=True, help="Hilbert space dimension")
+    state.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
+
+    channel = sub.add_parser("channel", help="inspect and convert channel representations")
+    channel.add_argument("action", choices=("check", "choi-from-kraus", "to-probs", "from-probs"))
+    channel.add_argument("input", help="input file path, or - for stdin")
+    channel.add_argument(
+        "--tolerance", type=float, default=1e-9, help="verdict, residual and trace tolerance (default 1e-9)"
+    )
+    channel.add_argument("-o", "--output", default="-", help="output file path, or - for stdout (default)")
+
+    evolve = sub.add_parser("evolve", help="integrate the kinetic equation, emit a CSV trajectory")
+    evolve.add_argument("--hamiltonian", required=True, help="MatrixFile with the 2 x 2 Hamiltonian, or -")
+    evolve.add_argument("--t-max", type=float, required=True, help="time horizon")
+    evolve.add_argument("--dt", type=float, default=1e-3, help="RK4 step (default 1e-3)")
+    evolve.add_argument(
+        "--initial",
+        default="identity",
+        help="ProbsFile with 15 initial probabilities, or the literal 'identity' (default)",
+    )
+    evolve.add_argument("--oracle", action="store_true", help="append closed-form columns o1..o15 and a max_dev line")
+    evolve.add_argument("--output", default="-", help="output file path, or - for stdout (default)")
+
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """("ok", repr of each value), ("help", None) or ("error", message) of one parse of argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", {name: repr(value) for name, value in vars(parse(list(argv))).items()}
+    except (SystemExit, cli._Help) as exc:
+        assert getattr(exc, "code", 0) == 0
+        return "help", None
+    except cli.FormatError as exc:
+        return "error", str(exc)
+
+
+# the kinds of usage error that README or the tests quote, whose text must not change
+QUOTED_ERRORS = (
+    "invalid float value",
+    "invalid int value",
+    "invalid choice",
+    "the following arguments are required",
+    "unrecognized arguments",
+    "expected one argument",
+)
+EDGE_WORDS = [
+    "--t", "--tol", "-oPATH", "-o=PATH", "-o", "--", "-", "-5", "-1e-3", "--oracle=1", "-h", "--help", "--he",
+    "", "bogus", "check", "to-probs", "--dim", "4", "--t-max", "--dt=0.5", "--o", "--h", "--output=", "-x", "-hh",
+    "-ho", "-hx",
+]
+PARSER_EDGES = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--", "state"],
+    ["state", "bogus", "in.json", "--dim", "2"],
+    ["state", "to-probs", "in.json", "--dim", "2", "-oPATH"],
+    ["state", "to-probs", "in.json", "--dim=4", "-o=PATH", "-o", "-", "--d", "2"],
+    ["state", "-h", "--dim", "3"],
+    ["state", "to-probs", "--", "-5", "--dim", "2"],
+    ["state", "to-probs", "x", "--dim", "2", "--"],
+    ["state", "--dim", "2", "to-probs", "x", "--"],
+    ["channel", "check", "in.json", "--t", "0.5", "--tol=1e-3", "--tolerance", "-5"],
+    ["channel", "check", "in.json", "--tolerance", "-1e-3"],
+    ["channel", "check", "-", "-o", "-", "-o"],
+    ["evolve", "--hamiltonian", "h", "--t-max", "-5", "--t", "2", "--oracle", "--or"],
+    ["evolve", "--hamiltonian", "h", "--t-max", "-1e-3"],
+    ["evolve", "--hamiltonian", "h", "--t-max", "1", "--oracle=1"],
+    ["evolve", "--hamiltonian", "h", "--t-max", "1", "--o", "x"],
+    ["evolve", "--hamiltonian", "h", "--t-max", "abc", "--bogus", "-h"],
+    ["evolve", "--t-max=1", "--hamiltonian=-", "extra", "--", "--dt", "2"],
+    ["-hh"],
+    ["state", "-ho", "x"],
+    ["state", "-hoPATH", "--dim", "3"],
+    ["channel", "-ho"],
+    ["evolve", "-hx"],
+]
+
+
+@st.composite
+def parser_argvs(draw, workdir):
+    """A cli_runs or refused_flag_runs argv, or none, with up to three edge words inserted, swapped in or repeated."""
+    argv = draw(st.one_of(st.just(([], {})), cli_runs(workdir), refused_flag_runs(workdir)))[0]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "repeat"]))
+        flags = [i for i, word in enumerate(argv) if word.startswith("-") and word != "-"]
+        if edit == "repeat" and flags:  # a flag again, with its value when that is the next word
+            i = draw(st.sampled_from(flags))
+            argv[at:at] = argv[i : i + 1 + ("=" not in argv[i])]
+        elif edit == "replace" and at < len(argv):  # also an unknown subcommand or action
+            argv[at] = draw(st.sampled_from(EDGE_WORDS))
+        else:
+            argv.insert(at, draw(st.sampled_from(EDGE_WORDS)))
+    return argv
+
+
+def test_flag_table_parses_as_argparse_did(corpus_dir):
+    """_parse gives argparse's values, help or refusal on every argv, and the same text for the quoted errors."""
+
+    def check(argv):
+        want, got = parse_outcome(_build_parser().parse_args, argv), parse_outcome(cli._parse, argv)
+        assert want[0] == got[0], (argv, want, got)
+        if want[0] != "error" or any(kind in message for kind in QUOTED_ERRORS for message in (want[1], got[1])):
+            assert want == got, argv
+
+    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @given(parser_argvs(corpus_dir))
+    def check_generated(argv):
+        check(argv)
+
+    for argv in PARSER_EDGES:
+        check(argv)
+    check_generated()
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ([], ["-h, --help", "command {state,channel,evolve}", "state", "channel", "evolve"]),
+        (["state"], ["-h, --help", "direction {to-probs,from-probs}", "input", "--dim {2,4}", "-o, --output (default -)"]),
+        (
+            ["channel"],
+            [
+                "-h, --help",
+                "action {check,choi-from-kraus,to-probs,from-probs}",
+                "input",
+                "--tolerance (default 1e-9)",
+                "-o, --output (default -)",
+            ],
+        ),
+        (
+            ["evolve"],
+            [
+                "-h, --help",
+                "--hamiltonian",
+                "--t-max",
+                "--dt (default 1e-3)",
+                "--initial (default identity)",
+                "--oracle",
+                "--output (default -)",
+            ],
+        ),
+    ],
+)
+def test_help_prints_usage_and_returns_0(argv, names):
+    """--help and -h print a usage naming every flag and its default, on stdout only, in process and as a program."""
+    code, out, err = run_in_process([*argv, "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: probchan ")
+    for name in names:
+        spelled, _, default = name.partition(" (")
+        line = next(line for line in out.splitlines() if line.strip().startswith(spelled + " "))
+        assert not default or line.endswith("(" + default), (name, line)
+    assert run_in_process([*argv, "-h"]) == (0, out, "")
+    fresh = run_cli([*argv, "--help"])
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out, "")
+
+
+def test_unparseable_number_prints_the_readme_line():
+    argv = ["evolve", "--hamiltonian", "H", "--t-max", "abc"]
+    assert run_in_process(argv) == (1, "", "error: argument --t-max: invalid float value: 'abc'\n")
