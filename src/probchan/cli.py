@@ -16,16 +16,15 @@ density matrix, in either `state` direction, probabilities outside [0, 1],
 constraint-violating initial data, a Choi matrix whose trace is not 2 given
 to `channel to-probs`).
 
-The command line is read by argparse's rules, without argparse, from one
-table of arguments per subcommand. A usage error is one `error:` line and
-exit 1; `-h` or `--help` prints a usage built from the table and exits 0.
+The command line is read from one table of arguments per subcommand, by
+argparse only when it is not spelled plainly. A usage error is one `error:`
+line and exit 1; `-h` or `--help` prints the usage of the table and exits 0.
 """
 
 import contextlib
 import functools
 import json
 import math
-import re
 import sys
 import types
 
@@ -414,8 +413,8 @@ def cmd_evolve(args) -> int:
 
 # The help and arguments of the top level (None) and of each subcommand, as (names, dest, type, default, choices,
 # help): a positional has no names, a flag of type None takes no value, a default of None marks a required argument
-# and any other default is written as it would be typed.
-# _parse reads argv by argparse's rules, so it accepts and refuses what argparse did, with the same values and text.
+# and any other default is written as it would be typed. _plain reads a plainly spelled command line from this
+# table; every other one goes to the argparse parser built from it, so the running Python's argparse reads it.
 _HELP = (("-h", "--help"), "help", None, False, None, "show this help and exit")
 _INPUT = ((), "input", str, None, None, "input file path, or - for stdin")
 _OUTPUT = (("-o", "--output"), "output", str, "-", None, "output file path, or - for stdout")
@@ -440,16 +439,6 @@ _COMMANDS = {
         (("--oracle",), "oracle", None, False, None, "append closed-form columns o1..o15 and a max_dev line"),
         (("--output",), "output", str, "-", None, "output file path, or - for stdout"))),
 }
-# per table: its option strings in argparse's order, help first, its positionals and its defaults
-_INDEX = {
-    command: (
-        {o: a for a in (_HELP, *table) for o in a[0]},
-        [a for a in table if not a[0]],
-        {a[1]: a[2](a[3]) if a[2] else a[3] for a in table if a[3] is not None},
-    )
-    for command, (_, table) in _COMMANDS.items()
-}
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 class _Help(Exception):
@@ -469,85 +458,72 @@ def _usage(command) -> str:
     return f"usage: probchan {command or 'COMMAND'} [-h] ...\n\n{about}\n\n" + "".join(rows)
 
 
-def _error(arg, message: str) -> FormatError:
-    return FormatError(f"argument {'/'.join(arg[0]) or arg[1]}: {message}")
+def _plain(argv: list):
+    """The arguments of argv if it is spelled plainly, else None.
 
-
-def _option(options: dict, word: str):
-    """argparse's reading of word: None for a positional, else (argument or None if unknown, option, attached value)."""
-    if word[:1] != "-" or word == "-":
+    Plainly: a subcommand, then positionals and whole flag names, each typed flag followed by its value, and no
+    value but "-" starting with "-"; every value converts and passes its choices, every required argument is
+    given and none is given twice.
+    """
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    name, equals, value = (word, "", None) if word in options else word.partition("=")
-    if name in options:
-        return options[name], name, value if equals else None
-    if word[1] == "-":  # a unique prefix of a long option
-        found = [(options[o], o, value if equals else None) for o in options if o.startswith(name)]
-    else:  # a short option with its value attached
-        found = [(options[o], o, word[2:]) for o in options if o == word[:2]]
-    if len(found) > 1:
-        raise FormatError(f"ambiguous option: {word} could match {', '.join(o for _, o, _ in found)}")
-    return found[0] if found else None if _NEGATIVE_NUMBER.match(word) or " " in word else (None, word, None)
-
-
-def _scan(command, words: list, args: types.SimpleNamespace, extras: list):
-    """Read words into args; at the top level (command None) return the index of the word after the command."""
-    options, pending, defaults = _INDEX[command]
-    pending, taken = pending[:], False  # taken: the last word went to a positional
-    vars(args).update(defaults)
-    end = words.index("--") if "--" in words else len(words)  # every word after the first "--" is positional
-    kinds = [_option(options, word) for word in words[:end]] + ["--"] + [None] * (len(words) - end - 1)
-    i = 0
-    while i < len(words):
-        word, kind, i = words[i], kinds[i], i + 1
-        if kind == "--" and command is None:  # argparse takes it as the command, when anything follows it
-            kind = None if i < len(words) else (None, word, None)
-        if kind == "--" and (taken or pending):
-            continue  # dropped with the positional next to it
-        if kind is None and pending:
-            arg, value, taken = pending.pop(0), word, True
-        elif kind is None or kind == "--" or kind[0] is None:  # surplus positional, stray "--" or unknown option
-            extras.append(word)
-            taken = False
-            continue
-        else:
-            (arg, flag, value), taken = kind, False
-            helped = arg is _HELP
-            while arg[2] is None and value and flag[1] != "-" and "-" + value[0] in options:  # -hX reads as -h -X
-                flag = "-" + value[0]
-                arg, value = options[flag], value[1:] or None
-            if arg[2] is None and value is not None:  # a flag without a type takes no value
-                raise _error(arg, f"ignored explicit argument {value!r}")
-            if arg[2] is not None and value is None:
-                if kinds[i] is not None:
-                    raise _error(arg, "expected one argument")
-                value, i = words[i], i + 1
-            if helped:
-                raise _Help(_usage(command))
-        convert, choices = arg[2], arg[4]
+    table = _COMMANDS[argv[0]][1]
+    flags = {name: arg for arg in table for name in arg[0]}
+    positionals = [arg for arg in table if not arg[0]]
+    values, words = {"command": argv[0]}, iter(argv[1:])
+    for word in words:
+        if word[:1] != "-" or word == "-":
+            arg, value = positionals.pop(0) if positionals else None, word
+        else:  # a flag, and the next word when it has a type; a missing value reads as "--"
+            arg = flags.get(word)
+            value = next(words, "--") if arg and arg[2] else ""
+        if arg is None or arg[1] in values or value[:1] == "-" != value:  # unknown, repeated or a dash word
+            return None
         try:
-            value = convert(value) if convert else True
+            values[arg[1]] = value = arg[2](value) if arg[2] else True
         except ValueError:
-            raise _error(arg, f"invalid {convert.__name__} value: {value!r}") from None
-        if choices and value not in choices:
-            raise _error(arg, f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
-        setattr(args, arg[1], value)
-        if command is None:
-            return i
-    missing = ["/".join(a[0]) or a[1] for a in _COMMANDS[command][1] if a[3] is None and not hasattr(args, a[1])]
-    if missing:
-        raise FormatError("the following arguments are required: " + ", ".join(missing))
-    if extras:
-        raise FormatError("unrecognized arguments: " + " ".join(extras))
+            return None
+        if arg[4] and value not in arg[4]:
+            return None
+    if any(arg[3] is None and arg[1] not in values for arg in table):
+        return None
+    defaults = {arg[1]: arg[2](arg[3]) if arg[2] else arg[3] for arg in table if arg[3] is not None}
+    return types.SimpleNamespace(**{**defaults, **values})
 
 
-def _parse(argv: list) -> types.SimpleNamespace:
+@functools.cache
+def _argparse_tree():
+    """The argparse parser of _COMMANDS, built on first use; usage errors raise FormatError, -h and --help _Help."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise FormatError(message)
+
+    class Help(argparse.Action):
+        def __call__(self, *_):
+            raise _Help(_usage(self.const))
+
+    tree = Parser(prog="probchan", add_help=False)
+    subparsers = tree.add_subparsers(dest="command", required=True)
+    for command, (_, table) in _COMMANDS.items():  # the top level's one argument is the subparsers
+        parser = subparsers.add_parser(command, add_help=False) if command else tree
+        parser.add_argument(*_HELP[0], action=Help, nargs=0, const=command, dest=argparse.SUPPRESS)
+        for names, dest, convert, default, choices, _ in table if command else ():
+            if not names:
+                parser.add_argument(dest, type=convert, choices=choices)
+            elif convert is None:
+                parser.add_argument(*names, dest=dest, action="store_true")
+            else:
+                parser.add_argument(*names, dest=dest, type=convert, choices=choices, default=default,
+                                    required=default is None)
+    return tree
+
+
+def _parse(argv: list):
     """The command and its arguments; raises FormatError on a usage error, _Help for -h and --help."""
-    args, extras = types.SimpleNamespace(), []  # extras: unknown options and surplus positionals, refused last
-    # the command is the first word without a leading dash at the latest, so the top level reads no further
-    first = next((k for k, word in enumerate(argv) if word[:1] != "-"), len(argv))
-    rest = _scan(None, argv[: first + 1], args, extras)
-    _scan(args.command, argv[rest:], args, extras)
-    return args
+    args = _plain(argv)
+    return _argparse_tree().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -116,7 +116,6 @@ class Trajectory:
 
     times: np.ndarray
     probs: np.ndarray
-    dt: float
 
 
 def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
@@ -193,7 +192,7 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
     dt does not divide it. Memory grows with t_max / dt.
     """
     times, probs = zip(*evolve_blocks(h, p0, t_max, dt))
-    return Trajectory(times=np.concatenate(times), probs=np.concatenate(probs), dt=dt)
+    return Trajectory(times=np.concatenate(times), probs=np.concatenate(probs))
 
 
 def oracle_probs(h, t) -> np.ndarray:

@@ -31,7 +31,7 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     as_length,
-    hermitian_eigvals,
+    hermitian_part,
     identity,
     require_hermitian,
     require_range,
@@ -196,7 +196,7 @@ def tomogram(rho, direction) -> float:
         direction: real 3-vector of unit Euclidean norm (within 1e-12).
     """
     arr = _require_density(rho, 2)
-    min_eig = hermitian_eigvals(arr, _DENSITY_TOL)[0]
+    min_eig = np.linalg.eigvalsh(hermitian_part(arr))[0]
     if min_eig < -_DENSITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     n = np.asarray(direction, dtype=float)

@@ -476,7 +476,10 @@ def test_csv_text_is_percent_formatting(cols):
 
 
 def test_import_builds_no_formatter_table_and_calls_no_eigensolver():
-    """Importing the CLI stays cheap: the word table is built on the first evolve, no eigh runs, no argparse loads."""
+    """Importing the CLI stays cheap: the word table is built on the first evolve, no eigh runs, no argparse loads.
+
+    Plain command lines are read without argparse too; another spelling of the same run loads it and reads the same.
+    """
     script = """
 import numpy as np
 calls = []
@@ -486,12 +489,17 @@ for name in ("eigh", "eigvalsh", "eig", "eigvals"):
 import sys
 from probchan import cli
 print(cli._csv_tables.cache_info().currsize, calls, "argparse" in sys.modules)
+cli._parse(["state", "to-probs", "rho.json", "--dim", "2", "-o", "out.json"])
+evolve = vars(cli._parse(["evolve", "--hamiltonian", "h.json", "--t-max", "10", "--oracle"]))
+print("argparse" in sys.modules, end=" ")
+spelled = [["--hamiltonian", "h.json", "--t-max=10"], ["--t", "10", "--ham", "h.json"]]
+print([vars(cli._parse(["evolve", *argv, "--oracle"])) == evolve for argv in spelled], "argparse" in sys.modules)
 cli._csv_text(np.eye(2))
 print(cli._csv_tables.cache_info().currsize)
 """
     result = run_python(["-c", script])
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "0 [] False\n1\n"
+    assert result.stdout == "0 [] False\nFalse [True, True] True\n1\n"
 
 
 def test_csv_text_slow_cells_at_row_edges():

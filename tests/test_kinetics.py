@@ -183,7 +183,6 @@ def test_evolve_sampling_structure():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
-    assert traj.dt == 0.3
     assert np.array_equal(traj.probs[0], identity_channel_probs())
 
 
