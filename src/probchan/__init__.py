@@ -5,7 +5,6 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     hermitian_eigensystem,
-    hermitian_eigvals,
     identity,
     kron,
     rk4_step,

@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import _adjoint, as_square, hermitian_eigensystem, hermitian_part, hermiticity_defect, unvec, vec
+from .matcore import _adjoint, _hermitian_pass, as_square, require_hermitian
 
 __all__ = [
     "CptpReport",
@@ -69,9 +69,10 @@ def kraus_tp_defect(kraus_ops) -> float:
 
 def choi_from_kraus(kraus_ops) -> np.ndarray:
     """Choi matrix sum_k vec(A_k) vec(A_k)^dagger (Hermitian and PSD by construction)."""
-    v = vec(_as_kraus_set(kraus_ops))
+    ops = _as_kraus_set(kraus_ops)
+    v = ops.reshape(len(ops), -1)
     # one outer product per operator, summed in operator order: one matmul over the stack rounds differently
-    return np.sum(v[:, :, None] * v[:, None, :].conj(), axis=0, initial=0)
+    return np.add.reduce(v[:, :, None] * v[:, None, :].conj(), axis=0, initial=0)
 
 
 def _reshuffle(m) -> np.ndarray:
@@ -120,15 +121,15 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     if arr.ndim != 2:
         raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    vals, vecs = hermitian_eigensystem(arr, tol)
+    vals, vecs = np.linalg.eigh(require_hermitian(arr, tol)())
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
     keep = vals > tol
     vals, cols = vals[keep][::-1], vecs.T[keep][::-1]
-    pivots = np.take_along_axis(cols, np.abs(cols).argmax(axis=1)[:, None], axis=1)
+    pivots = cols[np.arange(len(cols)), np.abs(cols).argmax(axis=1)][:, None]
     # np.hypot, not np.abs: on a complex array np.abs can round the modulus differently in the last bit
     cols = cols * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
-    return list(np.sqrt(vals)[:, None, None] * unvec(cols, d))
+    return list(np.sqrt(vals)[:, None, None] * cols.reshape(len(cols), d, d))
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,12 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     """
     arr = as_square(choi, "Choi matrix")
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    herm = hermiticity_defect(arr)
-    tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
+    herm, part = _hermitian_pass(arr, (-2, -1))
+    tp_matrix = arr.reshape(arr.shape[:-2] + (d, d, d, d)).trace(axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
-    cp_ok = (herm <= tol) & (min_eig >= -tol)
-    verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
-    fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
+    min_eig = np.linalg.eigvalsh(part())[..., 0]
+    verdict = _VERDICTS[2 * ((herm <= tol) & (min_eig >= -tol)) + (tp_defect <= tol)]
+    fields = (herm, arr.trace(axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
     if arr.ndim == 2:
         fields = (f.item() for f in fields)
     return CptpReport(*fields)

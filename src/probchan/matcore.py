@@ -5,7 +5,9 @@ vec(A X B) = (A kron B^T) vec(X).
 
 The input checks every module shares live here too, one of each kind:
 as_square (a square matrix or a stack of them), as_length (a trailing axis
-of fixed length), require_range ([0, 1]) and require_hermitian.
+of fixed length), require_range ([0, 1]) and require_hermitian, each run
+once at a public entry. _hermitian_pass is the one Hermiticity pass: one
+adjoint gives both the defect and the Hermitian part (m + m^dagger) / 2.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ __all__ = [
     "vec",
     "unvec",
     "hermiticity_defect",
-    "hermitian_eigvals",
     "hermitian_eigensystem",
     "unitary_exp",
     "rk4_step",
@@ -71,19 +72,27 @@ def as_length(v, n: int, what: str = "probabilities", dtype=float) -> np.ndarray
 
 def require_range(p: np.ndarray) -> np.ndarray:
     """p itself when every entry lies in [0, 1], else ValueError naming the first that does not."""
-    outside = p[~((p >= 0.0) & (p <= 1.0))]  # NaN is outside too
-    if outside.size:
-        raise ValueError(f"probability {float(outside[0])!r} lies outside [0, 1]")
+    inside = (p >= 0.0) & (p <= 1.0)  # NaN is outside too
+    if np.count_nonzero(inside) < inside.size:
+        raise ValueError(f"probability {float(p[~inside][0])!r} lies outside [0, 1]")
     return p
 
 
-def require_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
-    """as_square(m), after checking that every matrix in it is Hermitian within tol entrywise."""
-    arr = as_square(m, what)
-    defect = hermiticity_defect(arr).max(initial=0.0)
+def _hermitian_pass(arr: np.ndarray, axis=None):
+    """max |arr - arr^dagger| over axis, and a function giving (arr + arr^dagger) / 2, from one adjoint.
+
+    The part waits for its call, after any gate on the defect: a rejected input warns only as the check does.
+    """
+    adj = _adjoint(arr)
+    return np.abs(arr - adj).max(axis=axis, initial=0.0), lambda: (arr + adj) / 2.0
+
+
+def require_hermitian(arr: np.ndarray, tol: float, what: str = "matrix"):
+    """The Hermitian part function of _hermitian_pass, once every matrix of arr is Hermitian within tol entrywise."""
+    defect, part = _hermitian_pass(arr)
     if not defect <= tol:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
-    return arr
+    return part
 
 
 def kron(a, b) -> np.ndarray:
@@ -108,13 +117,7 @@ def unvec(v, n: int) -> np.ndarray:
 
 def hermiticity_defect(m):
     """Max absolute entry of m - m^dagger, one value per matrix of a stack."""
-    arr = as_square(m)
-    return np.abs(arr - _adjoint(arr)).max(axis=(-2, -1), initial=0.0)
-
-
-def hermitian_part(arr: np.ndarray) -> np.ndarray:
-    """(arr + arr^dagger) / 2, ungated: the exactly Hermitian input the eigensolvers are given."""
-    return (arr + _adjoint(arr)) / 2.0
+    return _hermitian_pass(as_square(m), (-2, -1))[0]
 
 
 def hermitian_eigensystem(m, tol: float = 1e-10):
@@ -127,17 +130,12 @@ def hermitian_eigensystem(m, tol: float = 1e-10):
     Returns:
         (eigvals, eigvecs) with eigvecs[..., :, k] the vector for eigvals[..., k].
     """
-    return np.linalg.eigh(hermitian_part(require_hermitian(m, tol)))
-
-
-def hermitian_eigvals(m, tol: float = 1e-10) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix or of each matrix in a stack."""
-    return np.linalg.eigvalsh(hermitian_part(require_hermitian(m, tol)))
+    return np.linalg.eigh(require_hermitian(as_square(m), tol)())
 
 
 def hamiltonian_part(h) -> np.ndarray:
-    """hermitian_part(h) once h is Hermitian within 1e-12 entrywise, else ValueError: the one Hamiltonian gate."""
-    return hermitian_part(require_hermitian(h, 1e-12, "Hamiltonian"))
+    """(h + h^dagger) / 2 once h is Hermitian within 1e-12 entrywise, else ValueError: the one Hamiltonian gate."""
+    return require_hermitian(as_square(h, "Hamiltonian"), 1e-12, "Hamiltonian")()
 
 
 def unitary_exp(h, t) -> np.ndarray:

@@ -45,7 +45,10 @@ def probs_from_choi(choi) -> np.ndarray:
     ValueError. The real part is returned unclipped.
     """
     imag_tol = 1e-9
-    raw = affine_probs(as_length(as_square(choi, "Choi matrix"), 4, "Choi matrix columns", complex))
+    arr = as_square(choi, "Choi matrix")
+    if arr.shape[-1] != 4:
+        raise ValueError(f"expected 4 Choi matrix columns, got shape {arr.shape}")
+    raw = affine_probs(arr)
     residue = np.abs(raw.imag).max(initial=0.0)
     if not residue <= imag_tol:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")

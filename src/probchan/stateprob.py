@@ -31,12 +31,9 @@ from .matcore import (
     PAULI_Y,
     PAULI_Z,
     as_length,
-    hermitian_part,
     identity,
     require_hermitian,
     require_range,
-    unvec,
-    vec,
 )
 
 __all__ = [
@@ -133,29 +130,30 @@ def _affine(matrix: np.ndarray, offset: np.ndarray, x: np.ndarray) -> np.ndarray
 def affine_probs(d: np.ndarray) -> np.ndarray:
     """prob_matrix . vec(D) + prob_offset for a (..., n, n) stack, n from the last axis; complex, unchecked."""
     k = build_constants(d.shape[-1])
-    return _affine(k.prob_matrix, k.prob_offset, vec(d))
+    return _affine(k.prob_matrix, k.prob_offset, d.reshape(d.shape[:-2] + (-1,)))
 
 
 def affine_choi(p: np.ndarray) -> np.ndarray:
     """unvec(choi_matrix . P + choi_offset) for a real (..., n*n - 1) stack; unchecked."""
     n = isqrt(p.shape[-1] + 1)
     k = build_constants(n)
-    return unvec(_affine(k.choi_matrix, k.choi_offset, p), n)
+    return _affine(k.choi_matrix, k.choi_offset, p).reshape(p.shape[:-1] + (n, n))
 
 
 def _as_probs(p, n: int) -> np.ndarray:
     return require_range(as_length(p, n))
 
 
-def _require_density(rho, dim: int) -> np.ndarray:
+def _require_density(rho, dim: int):
+    """(rho, its Hermitian part function) once rho is dim x dim and Hermitian with trace 1 within _DENSITY_TOL."""
     arr = np.asarray(rho, dtype=complex)
     if arr.shape != (dim, dim):
         raise ValueError(f"expected a {dim} x {dim} matrix, got shape {arr.shape}")
-    require_hermitian(arr, _DENSITY_TOL, "density matrix")
+    part = require_hermitian(arr, _DENSITY_TOL, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
     if not trace_err <= _DENSITY_TOL:
         raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
-    return arr
+    return arr, part
 
 
 def qubit_density_from_probs(probs) -> np.ndarray:
@@ -173,7 +171,7 @@ def qubit_probs_from_density(rho) -> np.ndarray:
     Left inverse of qubit_density_from_probs; p1 = 1 - (1 - p1) can round in
     its last bit when p1 < 1/2. Positivity is not checked.
     """
-    return affine_probs(2.0 * _require_density(rho, 2)).real.copy()
+    return affine_probs(2.0 * _require_density(rho, 2)[0]).real.copy()
 
 
 def qubit_bloch_check(probs) -> tuple[bool, float]:
@@ -183,7 +181,7 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
     describes a positive semidefinite state iff margin <= 1/4, checked with
     a 1e-12 slack.
     """
-    margin = float(np.sum((as_length(probs, 3).reshape(3) - 0.5) ** 2))
+    margin = float(((as_length(probs, 3).reshape(3) - 0.5) ** 2).sum())
     return margin <= 0.25 + 1e-12, margin
 
 
@@ -195,8 +193,8 @@ def tomogram(rho, direction) -> float:
             semidefinite, all within 1e-10).
         direction: real 3-vector of unit Euclidean norm (within 1e-12).
     """
-    arr = _require_density(rho, 2)
-    min_eig = np.linalg.eigvalsh(hermitian_part(arr))[0]
+    arr, part = _require_density(rho, 2)
+    min_eig = np.linalg.eigvalsh(part())[0]
     if min_eig < -_DENSITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     n = np.asarray(direction, dtype=float)
@@ -220,7 +218,7 @@ def ququart_probs_from_density(rho) -> np.ndarray:
     Left inverse of ququart_density_from_probs; p1..p3 = 1 - rho_kk can
     round in their last bit below 1/2. Positivity is not checked.
     """
-    return affine_probs(2.0 * _require_density(rho, _DIM)).real.copy()
+    return affine_probs(2.0 * _require_density(rho, _DIM)[0]).real.copy()
 
 
 @dataclass(frozen=True)

@@ -987,6 +987,33 @@ def test_flag_table_parses_as_argparse_did(corpus_dir):
     check_generated()
 
 
+@st.composite
+def plain_evolve_argvs(draw):
+    """An evolve argv spelled --t-max X --dt Y, with optional --initial, --oracle and --output, in any order."""
+    undashed = [v for v in T_MAX + DT if v[:1] != "-"]
+    path = st.sampled_from(["h.json", "-", "p0.json", "identity", "out.csv", "nan", "1e-3"])
+    groups = [
+        ["--hamiltonian", draw(path)],
+        ["--t-max", draw(st.sampled_from(undashed))],
+        ["--dt", draw(st.sampled_from(undashed))],
+    ]
+    if draw(st.booleans()):
+        groups.append(["--initial", draw(path)])
+    if draw(st.booleans()):
+        groups.append(["--oracle"])
+    if draw(st.booleans()):
+        groups.append(["--output", draw(path)])
+    return ["evolve", *(word for group in draw(st.permutations(groups)) for word in group)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(plain_evolve_argvs())
+def test_plain_evolve_argv_parses_as_argparse_did(argv):
+    """Every plainly spelled evolve argv is read from the flag table, to argparse's values."""
+    assert cli._plain(argv) is not None, argv
+    assert parse_outcome(cli._parse, argv) == parse_outcome(_build_parser().parse_args, argv), argv
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [

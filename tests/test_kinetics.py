@@ -18,7 +18,6 @@ from probchan.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    hermitian_part,
     hermiticity_defect,
     identity,
     kron,
@@ -154,7 +153,7 @@ def test_fixed_point_is_exact():
 def test_near_hermitian_hamiltonian_evolves_its_hermitian_part():
     h = np.array([[1.0 + 1e-13j, 0.3 - 0.2j], [0.3 + 0.2j + 1e-13, -1.0]])
     assert 0.0 < hermiticity_defect(h) <= 1e-12
-    part = hermitian_part(h)
+    part = (h + h.conj().T) / 2.0
     assert np.array_equal(validate_hamiltonian(h), part)
     assert np.array_equal(build_generator(h), build_generator(part))
     rng = np.random.default_rng(71)
@@ -361,8 +360,8 @@ def test_oracle_gates_the_hamiltonian_once(monkeypatch):
     with pytest.raises(ValueError, match="expected a 2 x 2 Hamiltonian"):
         oracle_probs(np.eye(3), 1.0)
     calls = []
-    defect = matcore.hermiticity_defect
-    monkeypatch.setattr(matcore, "hermiticity_defect", lambda m: calls.append(m) or defect(m))
+    hermitian_pass = matcore._hermitian_pass
+    monkeypatch.setattr(matcore, "_hermitian_pass", lambda m: calls.append(m) or hermitian_pass(m))
     oracle_probs(PAULI_X, np.linspace(0.0, 1.0, 5))
     assert len(calls) == 1
 

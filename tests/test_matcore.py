@@ -6,7 +6,6 @@ from probchan.matcore import (
     PAULI_Y,
     PAULI_Z,
     hermitian_eigensystem,
-    hermitian_eigvals,
     identity,
     kron,
     require_hermitian,
@@ -69,7 +68,7 @@ def test_vec_rejects_non_square():
 
 @pytest.mark.parametrize("pauli", [PAULI_X, PAULI_Y, PAULI_Z])
 def test_pauli_eigvals(pauli):
-    vals = hermitian_eigvals(pauli)
+    vals = hermitian_eigensystem(pauli)[0]
     assert np.max(np.abs(vals - np.array([-1.0, 1.0]))) < 1e-15
 
 
@@ -77,7 +76,7 @@ def test_eigvals_ascending_and_trace():
     rng = np.random.default_rng(11)
     for _ in range(30):
         h = random_hermitian(rng, 4)
-        vals = hermitian_eigvals(h)
+        vals = hermitian_eigensystem(h)[0]
         assert np.all(np.diff(vals) >= 0)
         assert abs(vals.sum() - h.trace().real) < 1e-12
 
@@ -93,7 +92,7 @@ def test_eigensystem_reconstructs():
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        hermitian_eigvals(np.array([[0, 1], [0, 0]], dtype=complex))
+        hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_unitary_exp_sigma_z_closed_form():
