@@ -8,7 +8,6 @@ from .matcore import (
     identity,
     kron,
     rk4_step,
-    unitary_exp,
     unvec,
     vec,
 )

@@ -195,21 +195,36 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
     return Trajectory(times=np.concatenate(times), probs=np.concatenate(probs))
 
 
-def oracle_probs(h, t) -> np.ndarray:
-    """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), as m + cos(w t) c + sin(w t) s.
+def _spectral_parts(h):
+    """(m, c, s, w) of the oracle m + cos(w t) c + sin(w t) s, from one gate and one eigh of h.
 
     One eigh gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With Y = vec(P_1) vec(P_0)^dagger,
     D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is the probability vector
-    of the sum and c + i s = 2 prob_matrix vec(Y). A row depends on its own time only, so any split of
-    the times gives the same bits. h is 2 x 2 and Hermitian within 1e-12, checked once per call. t is a
-    time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
+    of the sum and c + i s = 2 prob_matrix vec(Y). m, c and s are contiguous 15-vectors.
     """
     vals, vecs = np.linalg.eigh(validate_hamiltonian(h))
     v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
     m = probs_from_choi(v.T @ v.conj())
     cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))
-    phase = (vals[1] - vals[0]) * np.asarray(t, dtype=float)
-    return m + np.cos(phase)[..., None] * cs.real + np.sin(phase)[..., None] * cs.imag
+    return m, np.ascontiguousarray(cs.real), np.ascontiguousarray(cs.imag), vals[1] - vals[0]
+
+
+def _oracle_at(parts, t) -> np.ndarray:
+    """The oracle rows of _spectral_parts' (m, c, s, w) at a time, shape (15,), or at a 1-D array of n times, (n, 15)."""
+    m, c, s, w = parts
+    phase = w * np.asarray(t, dtype=float)
+    return m + np.cos(phase)[..., None] * c + np.sin(phase)[..., None] * s
+
+
+def oracle_probs(h, t) -> np.ndarray:
+    """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), as m + cos(w t) c + sin(w t) s.
+
+    The three 15-vectors and w come from one gate and one eigh of h per call (_spectral_parts); a caller
+    evaluating many time grids under one h builds them once and evaluates them per grid, as the CLI does.
+    A row depends on its own time only, so any split of the times gives the same bits. h is 2 x 2 and
+    Hermitian within 1e-12. t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
+    """
+    return _oracle_at(_spectral_parts(h), t)
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "unvec",
     "hermiticity_defect",
     "hermitian_eigensystem",
-    "unitary_exp",
     "rk4_step",
 ]
 
@@ -136,18 +135,6 @@ def hermitian_eigensystem(m, tol: float = 1e-10):
 def hamiltonian_part(h) -> np.ndarray:
     """(h + h^dagger) / 2 once h is Hermitian within 1e-12 entrywise, else ValueError: the one Hamiltonian gate."""
     return require_hermitian(as_square(h, "Hamiltonian"), 1e-12, "Hamiltonian")()
-
-
-def unitary_exp(h, t) -> np.ndarray:
-    """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack).
-
-    h must be Hermitian within 1e-12 entrywise, else ValueError naming the
-    Hamiltonian. t is a time or an array of times; its shape broadcasts
-    against the stack shape of h, so one h at n times gives shape (n, d, d).
-    """
-    vals, vecs = np.linalg.eigh(hamiltonian_part(h))
-    phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
-    return (vecs * phases[..., None, :]) @ _adjoint(vecs)
 
 
 def rk4_step(f, y, t: float, dt: float):

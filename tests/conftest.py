@@ -1,10 +1,12 @@
-"""Shared deterministic generators for random test inputs, and the CLI runner."""
+"""Shared deterministic generators for random test inputs, the CLI runner and unitary_exp, a reference for the oracle."""
 
 import os
 import subprocess
 import sys
 
 import numpy as np
+
+from probchan.matcore import _adjoint, hamiltonian_part
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -75,3 +77,15 @@ def random_channel_probs(rng):
     p[13] = 1.0 - p[3]
     p[14] = 1.0 - p[4]
     return p
+
+
+def unitary_exp(h, t) -> np.ndarray:
+    """exp(-i*h*t) through the spectral decomposition of Hermitian h (or of each h in a stack).
+
+    h must be Hermitian within 1e-12 entrywise, else ValueError naming the
+    Hamiltonian. t is a time or an array of times; its shape broadcasts
+    against the stack shape of h, so one h at n times gives shape (n, d, d).
+    """
+    vals, vecs = np.linalg.eigh(hamiltonian_part(h))
+    phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
+    return (vecs * phases[..., None, :]) @ _adjoint(vecs)

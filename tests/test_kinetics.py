@@ -22,7 +22,6 @@ from probchan.matcore import (
     identity,
     kron,
     rk4_step,
-    unitary_exp,
     vec,
 )
 from probchan.probchannel import (
@@ -33,7 +32,7 @@ from probchan.probchannel import (
     identity_channel_probs,
     probs_from_choi,
 )
-from conftest import complex_normal, random_channel_probs, random_hermitian
+from conftest import complex_normal, random_channel_probs, random_hermitian, unitary_exp
 
 
 def complex_pair(h):

@@ -11,14 +11,13 @@ from probchan.matcore import (
     require_hermitian,
     require_range,
     rk4_step,
-    unitary_exp,
     unvec,
     vec,
 )
 from probchan.kinetics import evolve_blocks
 from probchan.probchannel import identity_channel_probs, probs_from_choi
 from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_density, tomogram
-from conftest import complex_normal, random_hermitian
+from conftest import complex_normal, random_hermitian, unitary_exp
 
 
 def test_kron_pauli_x_pair_is_antidiagonal():
