@@ -4,11 +4,8 @@ from .matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    hermitian_eigensystem,
     identity,
-    kron,
     rk4_step,
-    unvec,
     vec,
 )
 from .stateprob import (

@@ -300,10 +300,11 @@ def _csv_text(table: np.ndarray) -> str:
 def _trajectory_csv(blocks, h):
     """CSV lines of a trajectory given as (times, probs) blocks, one string per block.
 
-    With a Hamiltonian h (not None) each block gains the columns o1..o15 of
-    the oracle at its times, and a last line gives max_dev, the largest
-    |p - o| over all blocks. The oracle's one eigendecomposition is made once
-    per run; each block evaluates its three 15-vectors at the block's times.
+    With a Hamiltonian h (not None) that has passed kinetics.validate_hamiltonian,
+    each block gains the columns o1..o15 of the oracle at its times, and a last
+    line gives max_dev, the largest |p - o| over all blocks. The oracle's one
+    eigendecomposition is made once per run; each block evaluates its three
+    15-vectors at the block's times.
     """
     names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if h is None else [f"o{i}" for i in range(1, 16)])
     yield ",".join(names) + "\n"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, hamiltonian_part, identity, kron, rk4_step
+from .matcore import as_length, identity, require_hermitian, rk4_step
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -49,11 +49,11 @@ P_STAR.setflags(write=False)
 
 
 def validate_hamiltonian(h) -> np.ndarray:
-    """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: what the oracle evolves too."""
+    """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: the one gate, once per public entry."""
     arr = np.asarray(h, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"expected a 2 x 2 Hamiltonian, got shape {arr.shape}")
-    return hamiltonian_part(arr)
+    return require_hermitian(arr, 1e-12, "Hamiltonian")()
 
 
 def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
@@ -77,9 +77,9 @@ def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
 
 def build_q(h) -> np.ndarray:
     """16 x 16 matrix Q with Q vec(M) = vec([h kron I2, M]) for any 4 x 4 M."""
-    lifted = kron(validate_hamiltonian(h), identity(2))
+    lifted = np.kron(validate_hamiltonian(h), identity(2))
     eye4 = identity(4)
-    return kron(lifted, eye4) - kron(eye4, lifted.T)
+    return np.kron(lifted, eye4) - np.kron(eye4, lifted.T)
 
 
 @functools.cache
@@ -102,8 +102,7 @@ def _structure_constants() -> np.ndarray:
 def build_generator(h) -> np.ndarray:
     """The real 15 x 15 generator K = Im(A Q B) of dP/dt = K (P - P_STAR), as sum_a x_a K_a."""
     h = validate_hamiltonian(h)
-    x = np.array([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag])
-    return np.tensordot(x, _structure_constants(), 1)
+    return np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
 
 
 @dataclass
@@ -139,12 +138,13 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
         dt: step, 0 < dt <= t_max, with t_max / dt at most MAX_STEPS and
             dt times h's eigenvalue spread at most 2 sqrt(2).
     """
-    k_mat = build_generator(h)
+    h = validate_hamiltonian(h)
     p = as_length(p0, N_PROBS, "initial probabilities")
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")
-    ratio = check_time_grid(validate_hamiltonian(h), t_max, dt)
+    ratio = check_time_grid(h, t_max, dt)
+    k_mat = np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
 
     def deriv(_t, z):
         return k_mat @ z
@@ -196,13 +196,13 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
 
 
 def _spectral_parts(h):
-    """(m, c, s, w) of the oracle m + cos(w t) c + sin(w t) s, from one gate and one eigh of h.
+    """(m, c, s, w) of the oracle m + cos(w t) c + sin(w t) s, from one eigh of h, a validate_hamiltonian result.
 
-    One eigh gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With Y = vec(P_1) vec(P_0)^dagger,
+    The eigh gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With Y = vec(P_1) vec(P_0)^dagger,
     D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is the probability vector
     of the sum and c + i s = 2 prob_matrix vec(Y). m, c and s are contiguous 15-vectors.
     """
-    vals, vecs = np.linalg.eigh(validate_hamiltonian(h))
+    vals, vecs = np.linalg.eigh(h)
     v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
     m = probs_from_choi(v.T @ v.conj())
     cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))
@@ -220,11 +220,11 @@ def oracle_probs(h, t) -> np.ndarray:
     """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), as m + cos(w t) c + sin(w t) s.
 
     The three 15-vectors and w come from one gate and one eigh of h per call (_spectral_parts); a caller
-    evaluating many time grids under one h builds them once and evaluates them per grid, as the CLI does.
+    evaluating many time grids under one gated h builds them once and evaluates them per grid, as the CLI does.
     A row depends on its own time only, so any split of the times gives the same bits. h is 2 x 2 and
     Hermitian within 1e-12. t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
     """
-    return _oracle_at(_spectral_parts(h), t)
+    return _oracle_at(_spectral_parts(validate_hamiltonian(h)), t)
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:

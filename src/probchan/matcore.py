@@ -17,11 +17,7 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "identity",
-    "kron",
     "vec",
-    "unvec",
-    "hermiticity_defect",
-    "hermitian_eigensystem",
     "rk4_step",
 ]
 
@@ -40,13 +36,6 @@ PAULI_Z = _frozen([[1, 0], [0, -1]])
 def identity(n: int) -> np.ndarray:
     """Complex identity matrix of size n."""
     return np.eye(n, dtype=complex)
-
-
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of rank {arr.ndim}")
-    return arr
 
 
 def _adjoint(arr: np.ndarray) -> np.ndarray:
@@ -94,11 +83,6 @@ def require_hermitian(arr: np.ndarray, tol: float, what: str = "matrix"):
     return part
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the coarse index."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def vec(m) -> np.ndarray:
     """Row-major vectorization of a square matrix, or of each matrix in a stack.
 
@@ -106,35 +90,6 @@ def vec(m) -> np.ndarray:
     """
     arr = as_square(m)
     return arr.reshape(arr.shape[:-2] + (-1,))
-
-
-def unvec(v, n: int) -> np.ndarray:
-    """Inverse of vec: rebuild n x n matrices from vectors of length n*n."""
-    arr = as_length(v, n * n, "vector entries", complex)
-    return arr.reshape(arr.shape[:-1] + (n, n))
-
-
-def hermiticity_defect(m):
-    """Max absolute entry of m - m^dagger, one value per matrix of a stack."""
-    return _hermitian_pass(as_square(m), (-2, -1))[0]
-
-
-def hermitian_eigensystem(m, tol: float = 1e-10):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix or stack.
-
-    Args:
-        m: square matrix or stack of them, Hermitian within tol entrywise.
-        tol: hermiticity gate; violation raises ValueError.
-
-    Returns:
-        (eigvals, eigvecs) with eigvecs[..., :, k] the vector for eigvals[..., k].
-    """
-    return np.linalg.eigh(require_hermitian(as_square(m), tol)())
-
-
-def hamiltonian_part(h) -> np.ndarray:
-    """(h + h^dagger) / 2 once h is Hermitian within 1e-12 entrywise, else ValueError: the one Hamiltonian gate."""
-    return require_hermitian(as_square(h, "Hamiltonian"), 1e-12, "Hamiltonian")()
 
 
 def rk4_step(f, y, t: float, dt: float):

@@ -134,7 +134,7 @@ def affine_probs(d: np.ndarray) -> np.ndarray:
 
 
 def affine_choi(p: np.ndarray) -> np.ndarray:
-    """unvec(choi_matrix . P + choi_offset) for a real (..., n*n - 1) stack; unchecked."""
+    """choi_matrix . P + choi_offset as row-major n x n matrices, for a real (..., n*n - 1) stack; unchecked."""
     n = isqrt(p.shape[-1] + 1)
     k = build_constants(n)
     return _affine(k.choi_matrix, k.choi_offset, p).reshape(p.shape[:-1] + (n, n))

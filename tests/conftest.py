@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from probchan.matcore import _adjoint, hamiltonian_part
+from probchan.matcore import _adjoint, as_square, require_hermitian
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -86,6 +86,6 @@ def unitary_exp(h, t) -> np.ndarray:
     Hamiltonian. t is a time or an array of times; its shape broadcasts
     against the stack shape of h, so one h at n times gives shape (n, d, d).
     """
-    vals, vecs = np.linalg.eigh(hamiltonian_part(h))
+    vals, vecs = np.linalg.eigh(require_hermitian(as_square(h), 1e-12, "Hamiltonian")())
     phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ _adjoint(vecs)

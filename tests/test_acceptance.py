@@ -12,7 +12,7 @@ import pytest
 
 from probchan.channelcore import apply_channel_via_choi, apply_kraus, choi_from_kraus, verify_cptp
 from probchan.kinetics import build_q, compare_to_oracle, evolve_probs
-from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, identity, kron, vec
+from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, identity, vec
 from probchan.probchannel import (
     build_constants,
     choi_from_probs,
@@ -129,7 +129,7 @@ def test_criterion_06_q_defining_identity():
     for _ in range(100):
         h = random_hermitian(rng, 2, norm=float(rng.uniform(0.5, 5.0)))
         m = complex_normal(rng, (4, 4))
-        lifted = kron(h, identity(2))
+        lifted = np.kron(h, identity(2))
         direct = vec(lifted @ m - m @ lifted)
         worst = max(worst, float(np.max(np.abs(build_q(h) @ vec(m) - direct))))
     ok = worst < 1e-13

@@ -2,15 +2,17 @@
 
 The middle section copies `kinetics.oracle_probs` and `cli._trajectory_csv` as they were, docstrings dropped
 and bodies unchanged: one gate and one eigh of h for every block. Swapped into `cli` for a run, the copy must
-give the same stdout, stderr and exit code as today's code, which gates and diagonalises h once per run.
+give the same stdout, stderr and exit code as today's code, which diagonalises the gated h once per run.
+The last tests count the eigensolves and the Hamiltonian gates that each entry makes.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from probchan import channelcore, cli, kinetics, probchannel
+from probchan import channelcore, cli, kinetics, matcore, probchannel
 from probchan.kinetics import _BLOCK, oracle_probs
 from conftest import random_hermitian, random_tp_kraus
 
@@ -124,3 +126,37 @@ def test_one_eigensolve_per_oracle_probs_call(eigensolves):
         eigensolves.clear()
         oracle_probs([[0.3, 1.0 - 2.0j], [1.0 + 2.0j, -0.5]], t)
         assert eigensolves == ["eigh"]
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    """One entry per require_hermitian call, wherever a probchan module imported it; the kinetic constants are warm."""
+    kinetics._structure_constants()
+    calls = []
+    gate = matcore.require_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gate(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "probchan" and getattr(mod, "require_hermitian", None) is gate:
+            monkeypatch.setattr(mod, "require_hermitian", counted)
+    return calls
+
+
+def test_each_entry_gates_the_hamiltonian_once(tmp_path, gates):
+    sigma_x, random_h, cptp = _files(tmp_path)
+    h = random_hermitian(np.random.default_rng(1820), 2, norm=3.0)
+    p0 = probchannel.identity_channel_probs()
+    for entry in (lambda: kinetics.evolve_blocks(h, p0, 1.0), lambda: oracle_probs(h, np.arange(3 * _BLOCK) * 1e-3)):
+        gates.clear()
+        entry()
+        assert len(gates) == 1
+    out = str(tmp_path / "traj.csv")
+    for h_path in (sigma_x, random_h):
+        for initial in ("identity", cptp):
+            gates.clear()
+            argv = ["evolve", "--hamiltonian", h_path, "--t-max", "1.0235", "--initial", initial, "--oracle"]
+            assert cli.main([*argv, "--output", out]) == 0
+            assert len(gates) <= 2, (h_path, initial)  # the CLI's exit-1 pre-check, then evolve_blocks

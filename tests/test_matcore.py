@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,10 @@ from probchan.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    hermitian_eigensystem,
     identity,
-    kron,
     require_hermitian,
     require_range,
     rk4_step,
-    unvec,
     vec,
 )
 from probchan.kinetics import evolve_blocks
@@ -20,31 +19,16 @@ from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_densit
 from conftest import complex_normal, random_hermitian, unitary_exp
 
 
-def test_kron_pauli_x_pair_is_antidiagonal():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    assert np.array_equal(kron(PAULI_X, PAULI_X), expected)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(identity(2), identity(2)), identity(4))
-    h = np.array([[0.3, 1 - 2j], [1 + 2j, -0.5]])
-    # lifting through nested products matches the flat product exactly
-    assert np.array_equal(kron(kron(h, identity(2)), identity(4)), kron(h, identity(8)))
+@pytest.mark.parametrize("layer", ["matcore", "stateprob", "channelcore", "probchannel", "kinetics", "cli"])
+def test_every_name_in_a_layer_all_resolves(layer):
+    """A name left in __all__ after its function is gone breaks star imports and perfbench's tracer, which wraps each."""
+    mod = importlib.import_module(f"probchan.{layer}")
+    for name in mod.__all__:
+        getattr(mod, name)
 
 
 def test_vec_is_row_major():
     assert np.array_equal(vec([[1, 2], [3, 4]]), np.array([1, 2, 3, 4], dtype=complex))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_vec_unvec_inverse_exact(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(20):
-        m = complex_normal(rng, (n, n))
-        assert np.array_equal(unvec(vec(m), n), m)
-        v = complex_normal(rng, (n * n,))
-        assert np.array_equal(vec(unvec(v, n)), v)
 
 
 def test_vec_matmul_identity():
@@ -54,44 +38,19 @@ def test_vec_matmul_identity():
         x = complex_normal(rng, (3, 3))
         b = complex_normal(rng, (3, 3))
         lhs = vec(a @ x @ b)
-        rhs = kron(a, b.T) @ vec(x)
+        rhs = np.kron(a, b.T) @ vec(x)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 def test_vec_rejects_non_square():
     with pytest.raises(ValueError):
         vec(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        unvec(np.ones(5), 2)
 
 
 @pytest.mark.parametrize("pauli", [PAULI_X, PAULI_Y, PAULI_Z])
 def test_pauli_eigvals(pauli):
-    vals = hermitian_eigensystem(pauli)[0]
+    vals = np.linalg.eigvalsh(pauli)
     assert np.max(np.abs(vals - np.array([-1.0, 1.0]))) < 1e-15
-
-
-def test_eigvals_ascending_and_trace():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        h = random_hermitian(rng, 4)
-        vals = hermitian_eigensystem(h)[0]
-        assert np.all(np.diff(vals) >= 0)
-        assert abs(vals.sum() - h.trace().real) < 1e-12
-
-
-def test_eigensystem_reconstructs():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        h = random_hermitian(rng, 4)
-        vals, vecs = hermitian_eigensystem(h)
-        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - h)) < 1e-13
-        assert np.max(np.abs(vecs.conj().T @ vecs - identity(4))) < 1e-13
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_unitary_exp_sigma_z_closed_form():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from probchan.channelcore import choi_from_kraus, verify_cptp
-from probchan.matcore import identity, hermiticity_defect, vec
+from probchan.matcore import identity
 from probchan.probchannel import (
     N_PROBS,
     build_constants,
@@ -100,7 +100,8 @@ def test_choi_from_probs_always_hermitian():
     rng = np.random.default_rng(50)
     for _ in range(100):
         p = rng.uniform(-2.0, 2.0, size=15)
-        assert hermiticity_defect(choi_from_probs(p)) == 0.0
+        d = choi_from_probs(p)
+        assert np.array_equal(d, d.conj().T)
 
 
 def test_round_trip_choi_probs_choi():
