@@ -75,21 +75,17 @@ def choi_from_kraus(kraus_ops) -> np.ndarray:
     return np.add.reduce(v[:, :, None] * v[:, None, :].conj(), axis=0, initial=0)
 
 
-def _reshuffle(m) -> np.ndarray:
-    arr = as_square(m, "matrix")
+def superop_from_choi(choi) -> np.ndarray:
+    """Action matrix L with vec(F[rho]) = L vec(rho), from the Choi matrix or each matrix of a stack."""
+    arr = as_square(choi, "matrix")
     d = _split_dim(arr.shape[-1], "matrix")
     lead = arr.shape[:-2]
     return arr.reshape(lead + (d, d, d, d)).swapaxes(-3, -2).reshape(lead + (d * d, d * d))
 
 
-def superop_from_choi(choi) -> np.ndarray:
-    """Action matrix L with vec(F[rho]) = L vec(rho), from the Choi matrix or each matrix of a stack."""
-    return _reshuffle(choi)
-
-
 def choi_from_superop(superop) -> np.ndarray:
     """Inverse of superop_from_choi; the reshuffle is an involution."""
-    return _reshuffle(superop)
+    return superop_from_choi(superop)
 
 
 def apply_channel_via_choi(choi, rho) -> np.ndarray:

@@ -68,11 +68,12 @@ def _parse_object(text: str, what: str) -> dict:
     return doc
 
 
-def _parse_dim(doc: dict, what: str) -> int:
-    dim = doc.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise FormatError(f"{what} document needs a positive integer 'dim'")
-    return dim
+def _parse_sized(text: str, what: str, dim: int) -> dict:
+    """The document's object once its 'dim' is the int dim, before any cell is read; anything else is malformed."""
+    doc = _parse_object(text, what)
+    if type(doc.get("dim")) is not int or doc["dim"] != dim:
+        raise FormatError(f"{what} document needs 'dim': {dim}")
+    return doc
 
 
 def _as_number(value, what: str) -> float:
@@ -105,23 +106,15 @@ def _grid_to_matrix(entries, dim: int, what: str) -> np.ndarray:
     return out
 
 
-def _parse_matrix_doc(text: str, what: str) -> np.ndarray:
-    doc = _parse_object(text, what)
-    return _grid_to_matrix(doc.get("entries"), _parse_dim(doc, what), what)
-
-
-def _parse_choi_doc(text: str) -> np.ndarray:
-    m = _parse_matrix_doc(text, "Choi matrix")
-    if m.shape != (4, 4):
-        raise FormatError(f"Choi matrix must be 4 x 4, got {m.shape[0]} x {m.shape[1]}")
-    return m
+def _parse_matrix_doc(text: str, what: str, dim: int) -> np.ndarray:
+    return _grid_to_matrix(_parse_sized(text, what, dim).get("entries"), dim, what)
 
 
 def _parse_probs_doc(text: str, n: int) -> np.ndarray:
     """The document's n probabilities; a wrong count is malformed, a value outside [0, 1] out of domain."""
     doc = _parse_object(text, "probability")
     probs = doc.get("probs")
-    if not isinstance(probs, list) or not probs:
+    if not isinstance(probs, list):
         raise FormatError("probability document needs a non-empty 'probs' list")
     if len(probs) != n:
         raise FormatError(f"expected {n} probabilities, got {len(probs)}")
@@ -129,12 +122,11 @@ def _parse_probs_doc(text: str, n: int) -> np.ndarray:
 
 
 def _parse_kraus_doc(text: str) -> list[np.ndarray]:
-    doc = _parse_object(text, "Kraus")
-    dim = _parse_dim(doc, "Kraus")
-    kraus = doc.get("kraus")
+    """The document's 2 x 2 Kraus operators."""
+    kraus = _parse_sized(text, "Kraus", 2).get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("Kraus document needs a non-empty 'kraus' list")
-    return [_grid_to_matrix(grid, dim, f"Kraus operator {k}") for k, grid in enumerate(kraus)]
+    return [_grid_to_matrix(grid, 2, f"Kraus operator {k}") for k, grid in enumerate(kraus)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +332,7 @@ def cmd_state(args) -> int:
     text = _read_text(args.input)
     qubit = args.dim == 2
     if args.direction == "to-probs":
-        rho = _parse_matrix_doc(text, "state")
-        if rho.shape[0] != args.dim:
-            raise FormatError(f"state dim {rho.shape[0]} does not match --dim {args.dim}")
+        rho = _parse_matrix_doc(text, "state", args.dim)
         out = _probs_text((stateprob.qubit_probs_from_density if qubit else stateprob.ququart_probs_from_density)(rho))
     else:
         p = _parse_probs_doc(text, args.dim**2 - 1)
@@ -360,15 +350,12 @@ def cmd_channel(args) -> int:
         raise FormatError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     text = _read_text(args.input)
     if args.action == "check":
-        report = channelcore.verify_cptp(_parse_choi_doc(text), args.tolerance)
+        report = channelcore.verify_cptp(_parse_matrix_doc(text, "Choi matrix", 4), args.tolerance)
         _write_text(args.output, [_report_text(report)])
     elif args.action == "choi-from-kraus":
-        ops = _parse_kraus_doc(text)
-        if ops[0].shape != (2, 2):
-            raise FormatError("Kraus operators must be 2 x 2")
-        _write_text(args.output, [_matrix_text(channelcore.choi_from_kraus(ops))])
+        _write_text(args.output, [_matrix_text(channelcore.choi_from_kraus(_parse_kraus_doc(text)))])
     elif args.action == "to-probs":
-        m = _parse_choi_doc(text)
+        m = _parse_matrix_doc(text, "Choi matrix", 4)
         p = probchannel.probs_from_choi(m)
         trace = m.trace().real
         if not abs(trace - 2.0) <= args.tolerance:
@@ -392,7 +379,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    h = _parse_matrix_doc(_read_text(args.hamiltonian), "Hamiltonian")
+    h = _parse_matrix_doc(_read_text(args.hamiltonian), "Hamiltonian", 2)
     try:
         h = kinetics.validate_hamiltonian(h)
         kinetics.check_time_grid(h, args.t_max, args.dt)

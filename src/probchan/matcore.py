@@ -50,9 +50,9 @@ def as_square(m, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_length(v, n: int, what: str = "probabilities", dtype=float) -> np.ndarray:
-    """Array of shape (..., n): one length-n vector or a stack of them."""
-    arr = np.asarray(v, dtype=dtype)
+def as_length(v, n: int, what: str = "probabilities") -> np.ndarray:
+    """Float array of shape (..., n): one length-n vector or a stack of them."""
+    arr = np.asarray(v, dtype=float)
     if arr.shape[-1:] != (n,):
         raise ValueError(f"expected {n} {what}, got shape {arr.shape}")
     return arr

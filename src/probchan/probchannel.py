@@ -26,9 +26,6 @@ from .matcore import as_length, as_square, identity, vec
 from .stateprob import N_PROBS, AffineConstants, affine_choi, affine_probs, build_constants
 
 __all__ = [
-    "N_PROBS",
-    "AffineConstants",
-    "build_constants",
     "probs_from_choi",
     "choi_from_probs",
     "channel_constraint_residuals",

@@ -1059,3 +1059,46 @@ def test_help_prints_usage_and_returns_0(argv, names):
 def test_unparseable_number_prints_the_readme_line():
     argv = ["evolve", "--hamiltonian", "H", "--t-max", "abc"]
     assert run_in_process(argv) == (1, "", "error: argument --t-max: invalid float value: 'abc'\n")
+
+
+# each document reader, the 'dim' its command needs and the key of its cells
+DIM_READERS = {
+    "state-to-probs": (["state", "to-probs", "--dim", "2", "{doc}", "-o", "{out}"], 2, "entries"),
+    "channel-check": (["channel", "check", "{doc}", "-o", "{out}"], 4, "entries"),
+    "channel-to-probs": (["channel", "to-probs", "{doc}", "-o", "{out}"], 4, "entries"),
+    "choi-from-kraus": (["channel", "choi-from-kraus", "{doc}", "-o", "{out}"], 2, "kraus"),
+    "evolve": (["evolve", "--hamiltonian", "{doc}", "--t-max", "0.01", "--output", "{out}"], 2, "entries"),
+}
+
+
+@pytest.mark.parametrize("argv, need, key", DIM_READERS.values(), ids=DIM_READERS.keys())
+def test_documents_are_shape_checked_where_read(tmp_path, argv, need, key):
+    """A 'dim' other than the int the command needs is one short error line naming 'dim', before any cell is read."""
+    other = 6 - need  # 4 where 2 is needed, 2 where 4 is
+    grid = [[[float(i == j), 0.0] for j in range(other)] for i in range(other)]
+    body = {key: [grid] if key == "kraus" else grid}
+    docs = [{"dim": dim, **body} for dim in (other, 3, 0, float(need), True, str(need), list(range(10_000)))]
+    docs += [body, {"dim": other, key: ["junk"] * 10_000}]
+    out = tmp_path / "out"
+    for doc in docs:
+        path = write(tmp_path, "doc.json", json.dumps(doc))
+        code, stdout, err = run_in_process([word.format(doc=path, out=out) for word in argv])
+        assert (code, stdout) == (1, ""), doc.get("dim")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert "'dim'" in err and str(need) in err, err
+        assert not out.exists()
+
+
+def test_empty_probability_list_exits_1(tmp_path):
+    path = write(tmp_path, "p.json", probs_doc([]))
+    h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
+    out = tmp_path / "out"
+    for argv in (
+        ["state", "from-probs", "--dim", "2", path, "-o", str(out)],
+        ["channel", "from-probs", path, "-o", str(out)],
+        ["evolve", "--hamiltonian", h, "--t-max", "0.01", "--initial", path, "--output", str(out)],
+    ):
+        code, stdout, err = run_in_process(argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()

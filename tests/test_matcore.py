@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+import probchan
 from probchan.matcore import (
     PAULI_X,
     PAULI_Y,
@@ -19,12 +20,31 @@ from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_densit
 from conftest import complex_normal, random_hermitian, unitary_exp
 
 
-@pytest.mark.parametrize("layer", ["matcore", "stateprob", "channelcore", "probchannel", "kinetics", "cli"])
+LIBRARY_LAYERS = ["matcore", "stateprob", "channelcore", "probchannel", "kinetics"]
+
+
+@pytest.mark.parametrize("layer", [*LIBRARY_LAYERS, "cli"])
 def test_every_name_in_a_layer_all_resolves(layer):
-    """A name left in __all__ after its function is gone breaks star imports and perfbench's tracer, which wraps each."""
+    """A name left in __all__ after its function is gone breaks star imports and perfbench's tracer, which wraps each.
+
+    Each name has one owner: it is listed by one layer only, and a listed function or class is defined there, so
+    the tracer labels its calls with that layer. The package namespace is the library layers' lists in order.
+    """
     mod = importlib.import_module(f"probchan.{layer}")
+    others = {
+        name for other in [*LIBRARY_LAYERS, "cli"] if other != layer
+        for name in importlib.import_module(f"probchan.{other}").__all__
+    }
     for name in mod.__all__:
-        getattr(mod, name)
+        value = getattr(mod, name)
+        assert name not in others, name
+        if callable(value):
+            assert value.__module__ == mod.__name__, name
+        if layer != "cli":
+            assert getattr(probchan, name) is value, name
+    assert probchan.__all__ == [
+        name for other in LIBRARY_LAYERS for name in importlib.import_module(f"probchan.{other}").__all__
+    ]
 
 
 def test_vec_is_row_major():
