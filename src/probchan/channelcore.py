@@ -101,6 +101,16 @@ def apply_channel_via_choi(choi, rho) -> np.ndarray:
     return np.einsum("kilj,ij->kl", arr.reshape(d, d, d, d), state)
 
 
+def _eigen(solver, arr: np.ndarray, part):
+    """solver(part()) on the Hermitian part of arr; ValueError in place of its LinAlgError when arr is finite."""
+    try:
+        return solver(part())
+    except np.linalg.LinAlgError:
+        if not np.isfinite(arr).all():
+            raise
+    raise ValueError("Choi matrix entries are too large: its Hermitian part (D + D^dagger) / 2 overflows")
+
+
 def kraus_from_choi(choi) -> list[np.ndarray]:
     """Extract a minimal Kraus set from a Hermitian PSD Choi matrix.
 
@@ -117,7 +127,7 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     if arr.ndim != 2:
         raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    vals, vecs = np.linalg.eigh(require_hermitian(arr, tol)())
+    vals, vecs = _eigen(np.linalg.eigh, arr, require_hermitian(arr, tol))
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
     keep = vals > tol
@@ -158,7 +168,7 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm, part = _hermitian_pass(arr, (-2, -1))
     tp_matrix = arr.reshape(arr.shape[:-2] + (d, d, d, d)).trace(axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(part())[..., 0]
+    min_eig = _eigen(np.linalg.eigvalsh, arr, part)[..., 0]
     verdict = _VERDICTS[2 * ((herm <= tol) & (min_eig >= -tol)) + (tp_defect <= tol)]
     fields = (herm, arr.trace(axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
     if arr.ndim == 2:

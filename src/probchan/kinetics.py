@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_length, identity, require_hermitian, rk4_step
+from .matcore import PAULI_X, PAULI_Y, as_length, identity, require_hermitian, rk4_step
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -90,7 +90,7 @@ def _structure_constants() -> np.ndarray:
     take the kinetic equation off real probabilities.
     """
     k = build_constants()
-    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], PAULI_X, PAULI_Y])
     full = np.stack([k.prob_matrix @ build_q(x) @ k.choi_matrix for x in basis])
     if full.real.any():
         raise RuntimeError("kinetic structure constants corrupt: A Q(X_a) B has a real part")

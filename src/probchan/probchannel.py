@@ -65,16 +65,7 @@ def choi_from_probs(probs) -> np.ndarray:
 def channel_constraint_residuals(probs) -> np.ndarray:
     """Absolute residuals of the three trace-preservation constraints, per row of a stack."""
     p = as_length(probs, N_PROBS)
-    return np.abs(
-        np.stack(
-            [
-                p[..., 0] + p[..., 2] - 1.5,
-                p[..., 3] + p[..., 13] - 1.0,
-                p[..., 4] + p[..., 14] - 1.0,
-            ],
-            axis=-1,
-        )
-    )
+    return np.abs(p[..., [0, 3, 4]] + p[..., [2, 13, 14]] - [1.5, 1.0, 1.0])
 
 
 def check_channel_prob_constraints(probs, tol: float = 1e-9) -> tuple[bool, np.ndarray]:

@@ -26,15 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    as_length,
-    identity,
-    require_hermitian,
-    require_range,
-)
+from .matcore import as_length, require_hermitian, require_range
 
 __all__ = [
     "N_PROBS",
@@ -186,7 +178,9 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
 
 
 def tomogram(rho, direction) -> float:
-    """Probability of the +1/2 spin outcome along a unit direction.
+    """Probability of the +1/2 spin outcome along a unit direction n, 1/2 + n . (q - 1/2), read off the coins.
+
+    q is the qubit's spin-up probabilities along x, y and z, the layout's p2, p3 and p1.
 
     Args:
         rho: valid qubit density matrix (Hermitian, trace 1, positive
@@ -203,8 +197,7 @@ def tomogram(rho, direction) -> float:
     norm = float(np.linalg.norm(n))
     if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, norm is {norm!r}")
-    projector = 0.5 * (identity(2) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-    return float(np.trace(arr @ projector).real)
+    return float(0.5 + n @ (affine_probs(2.0 * arr).real[[1, 2, 0]] - 0.5))
 
 
 def ququart_density_from_probs(probs) -> np.ndarray:

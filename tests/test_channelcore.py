@@ -277,3 +277,17 @@ def test_verify_cptp_random_tp_sets():
         report = verify_cptp(choi_from_kraus(k))
         assert report.verdict == "CPTP"
         assert abs(report.trace_value - 2.0) < 1e-12
+
+
+def test_finite_overflowing_choi_raises_value_error():
+    # warnings off, so the overflow of (D + D^dagger) / 2 reaches the eigensolver; under pytest's warnings-as-errors
+    # an invalid-value warning would be raised before it when only overflow is ignored
+    huge = np.full((4, 4), 1e308)
+    with np.errstate(all="ignore"):
+        for fn, arg in ((verify_cptp, huge), (kraus_from_choi, huge), (verify_cptp, np.stack([np.eye(4), huge]))):
+            with pytest.raises(ValueError, match="too large") as refused:
+                fn(arg)
+            assert not isinstance(refused.value, np.linalg.LinAlgError)
+        # non-finite input keeps the eigensolver's own error
+        with pytest.raises(np.linalg.LinAlgError):
+            verify_cptp(np.full((4, 4), np.nan))

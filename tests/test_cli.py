@@ -565,6 +565,7 @@ def test_refused_evolve_writes_no_file(tmp_path, capsys):
     fast_h = write(tmp_path, "fh.json", matrix_doc(100.0 * np.array([[0.0, 1.0], [1.0, 0.0]])))
     huge_h = write(tmp_path, "hh.json", matrix_doc(np.full((2, 2), 1e308)))
     scalar_h = write(tmp_path, "sh.json", matrix_doc(2.0 * np.eye(2)))
+    zero_h = write(tmp_path, "zh.json", matrix_doc(np.zeros((2, 2))))
     refused = [
         (["--hamiltonian", good_h, "--t-max", "1", "--initial", flat], 2),
         (["--hamiltonian", bad_h, "--t-max", "1"], 1),
@@ -573,12 +574,13 @@ def test_refused_evolve_writes_no_file(tmp_path, capsys):
         (["--hamiltonian", fast_h, "--t-max", "1", "--dt", "0.0142"], 1),  # dt * spread = 2.84 > 2 sqrt(2)
         (["--hamiltonian", huge_h, "--t-max", "1"], 1),  # numbers above 1e150
         (["--hamiltonian", scalar_h, "--t-max", "1e308", "--dt", "1e304"], 1),
+        (["--hamiltonian", zero_h, "--t-max", "1e200", "--dt", "1e195"], 1),  # passes the time grid, not 1e150
     ]
     for args, code in refused:
         assert cli.main(["evolve", *args, "--oracle", "--output", str(out)]) == code
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, (args, err)
 
     # a Hamiltonian within the 1e-12 Hermiticity gate runs, and both RK4 and the oracle evolve its Hermitian part
     near = np.array([[1.0 + 1e-13j, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
@@ -1101,4 +1103,50 @@ def test_empty_probability_list_exits_1(tmp_path):
         code, stdout, err = run_in_process(argv)
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+# where a refused number can sit: each matrix, probability and Kraus reader, with the cell or value it replaces
+NUMBER_READERS = {
+    "state-to-probs": (["state", "to-probs", "--dim", "2", "{doc}", "-o", "{out}"], "matrix"),
+    "channel-check": (["channel", "check", "{doc}", "-o", "{out}"], "choi"),
+    "evolve-hamiltonian": (["evolve", "--hamiltonian", "{doc}", "--t-max", "0.01", "--output", "{out}"], "matrix"),
+    "state-from-probs": (["state", "from-probs", "--dim", "2", "{doc}", "-o", "{out}"], "probs3"),
+    "channel-from-probs": (["channel", "from-probs", "{doc}", "-o", "{out}"], "probs15"),
+    "evolve-initial": (["evolve", "--hamiltonian", "{h}", "--t-max", "0.01", "--initial", "{doc}",
+                        "--output", "{out}"], "probs15"),
+    "choi-from-kraus": (["channel", "choi-from-kraus", "{doc}", "-o", "{out}"], "kraus"),
+}
+HOSTILE_NUMBERS = {
+    "list": list(range(10_000)),
+    "object": {f"k{i}": i for i in range(5_000)},
+    "string": "x" * 100_000,
+    "bigint": 10**299,
+    "nan": float("nan"),
+    "true": True,
+    "null": None,
+}
+
+
+@pytest.mark.parametrize("argv, slot", NUMBER_READERS.values(), ids=NUMBER_READERS.keys())
+def test_refused_numbers_print_one_short_line(tmp_path, argv, slot):
+    """Any value that is not a number within 1e150, wherever it is read, is one short error line and exit 1."""
+    h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
+    out = tmp_path / "out"
+    for name, value in HOSTILE_NUMBERS.items():
+        if slot.startswith("probs"):
+            probs = [0.5] * int(slot[5:])
+            probs[1] = value
+            doc, where = {"probs": probs}, "probs[1] "
+        else:
+            size = 4 if slot == "choi" else 2
+            grid = [[[float(i == j), 0.0] for j in range(size)] for i in range(size)]
+            grid[0][1][0] = value
+            doc = {"dim": 2, "kraus": [grid]} if slot == "kraus" else {"dim": size, "entries": grid}
+            where = "cell (0,1) real part "
+        path = write(tmp_path, "doc.json", json.dumps(doc))
+        code, stdout, err = run_in_process([word.format(doc=path, h=h, out=out) for word in argv])
+        assert (code, stdout) == (1, ""), (name, err[:300])
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, (name, err[:300])
+        assert where in err, err
         assert not out.exists()

@@ -15,6 +15,7 @@ from probchan.stateprob import (
     ququart_density_from_probs,
     ququart_probs_from_density,
 )
+from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, identity
 from conftest import random_bloch_probs, random_density
 
 
@@ -114,6 +115,18 @@ def test_tomogram_spot_values():
     ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     assert abs(tomogram(ground, [0.0, 0.0, 1.0]) - 1.0) < 1e-15
     assert abs(tomogram(ground, [1.0, 0.0, 0.0]) - 0.5) < 1e-15
+
+
+def test_tomogram_matches_the_projector_formula():
+    # the reference is Tr(rho (I + n . sigma) / 2); tomogram reads the same number off the coin probabilities
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        rho = random_density(rng, 2)
+        n = rng.standard_normal(3)
+        n /= np.linalg.norm(n)
+        projector = 0.5 * (identity(2) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+        assert abs(tomogram(rho, n) - np.trace(rho @ projector).real) <= 1e-15
+        assert abs(tomogram(rho, n) + tomogram(rho, -n) - 1.0) <= 1e-15
 
 
 def test_tomogram_rejects_bad_inputs():
