@@ -127,7 +127,7 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     if arr.ndim != 2:
         raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    vals, vecs = _eigen(np.linalg.eigh, arr, require_hermitian(arr, tol))
+    vals, vecs = _eigen(np.linalg.eigh, arr, require_hermitian(arr, tol, "Choi matrix"))
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
     keep = vals > tol

@@ -163,12 +163,14 @@ def _report_text(report: channelcore.CptpReport) -> str:
 # their 17 significant digits D = round-half-even(|x| * 10**(16 - E)), with
 # E = floor(log10 |x|), all in numpy. D is exact: 10**k is an exact double for
 # k <= 22, and Dekker's TwoProduct (Numer. Math. 18, 1971) gives hi + lo equal
-# to |x| * 10**k with no rounding. Each cell becomes seven little-endian 4-byte
-# words of NUL-padded text: the separator that leads it ("," or a newline, none
-# for the first cell) with the sign and, when E < 0, "0."; then the six 3-digit
-# groups of D (the first holds two digits, and the zero of "0.0" when E = -2)
-# with the point and trailing zeros settled. Every other cell (0, -0, NaN, inf,
-# |x| < 1e-2, |x| >= 1e17) fills its last 24 bytes from one batch of %24.17g.
+# to |x| * 10**k with no rounding. The digits written are F's 18: D and one
+# 0 (F = 10 D), or at E = -2 the 0 of "0.0" and D (F = D). Each cell becomes
+# seven little-endian 4-byte words of NUL-padded text: the separator that
+# leads it ("," or a newline, none for the first cell) with the sign and,
+# when E < 0, "0."; then F's six 3-digit groups, with the point after F's
+# digit E when E >= 0 and trailing zeros settled. Every other cell (0, -0,
+# NaN, inf, |x| < 1e-2, |x| >= 1e17) fills its last 24 bytes from one batch
+# of %24.17g.
 
 _POW10 = 10.0 ** np.arange(23)
 _SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
@@ -186,56 +188,47 @@ def _exact_scale(a: np.ndarray, k: np.ndarray):
     return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _group_words() -> np.ndarray:
-    """The 4-byte word of every 3-digit group value in each of its 16 variants, in index order.
-
-    Variant (first, point, strip): point is None or the slot (0-2) the
-    decimal point follows; strip drops the zeros that end the group after the
-    point (the whole group's when there is none), and the point when no digit
-    is left after it. The first group's slot 0 is not a digit of D and is NUL.
-    """
-    values = np.arange(1000)
-    digits = np.stack([values // 100, values // 10 % 10, values % 10], axis=1)
-    zero_from = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # slot k and all after it are 0
-    words = []
-    for first in (True, False):
-        for point in (None, 0, 1, 2):
-            for strip in (False, True):
-                text = np.zeros((1000, 4), np.uint8)
-                fraction_from = 0 if point is None else point + 1  # first slot after the point
-                for k in range(3):
-                    dropped = (strip and k >= fraction_from) & zero_from[:, k] | (first and k == 0)
-                    at = k + (point is not None and k > point)
-                    text[:, at] = np.where(dropped, 0, ord("0") + digits[:, k])
-                if point is not None:
-                    fraction = point < 2 and ~zero_from[:, point + 1]  # a non-zero digit follows in this group
-                    text[:, point + 1] = np.where(fraction | (not strip), ord("."), 0)
-                words.append(text.view("<u4")[:, 0])
-    return np.concatenate(words)
-
-
 @functools.cache
 def _csv_tables():
     """The word table and, per layout code, the seven word indices before group values are added.
 
-    A cell's layout code is (((E + 2) * 6 + last) * 2 + negative) * 3 + lead,
-    where last is the index of D's last non-zero group and lead is 0 for ",",
-    1 for a newline and 2 for none. Built on first use, so commands other than
-    evolve do not pay for it; both arrays are read-only.
+    The table holds the 4-byte word of every 3-digit group value in each of
+    8 variants (point, strip), in index order, then the 12 lead words. point
+    is None or the slot (0-2) the decimal point follows; strip drops the zeros
+    that end the group after the point (the whole group's when there is
+    none), and the point when no digit is left after it. A cell's layout code
+    is (((E + 2) * 6 + last) * 2 + negative) * 3 + lead, where last is the
+    index of F's last non-zero group and lead is 0 for ",", 1 for a newline
+    and 2 for none. Built on first use, so commands other than evolve do not
+    pay for it; both arrays are read-only.
     """
-    groups = _group_words()
+    values = np.arange(1000)
+    digits = np.stack([values // 100, values // 10 % 10, values % 10], axis=1)
+    zero_from = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # slot k and all after it are 0
+    groups = []
+    for point in (None, 0, 1, 2):
+        for strip in (False, True):
+            text = np.zeros((1000, 4), np.uint8)
+            fraction_from = 0 if point is None else point + 1  # first slot after the point
+            for k in range(3):
+                dropped = (strip and k >= fraction_from) & zero_from[:, k]
+                at = k + (point is not None and k > point)
+                text[:, at] = np.where(dropped, 0, ord("0") + digits[:, k])
+            if point is not None:
+                fraction = point < 2 and ~zero_from[:, point + 1]  # a non-zero digit follows in this group
+                text[:, point + 1] = np.where(fraction | (not strip), ord("."), 0)
+            groups.append(text.view("<u4")[:, 0])
     leads = [sep + sign + prefix for sep in (b",", b"\n", b"") for sign in (b"", b"-") for prefix in (b"", b"0.")]
-    words = np.concatenate([groups, [int.from_bytes(t.ljust(4, b"\0"), "little") for t in leads]]).astype(np.uint32)
+    words = np.concatenate(groups + [[int.from_bytes(t.ljust(4, b"\0"), "little") for t in leads]]).astype(np.uint32)
 
     e = np.arange(-2, 17)[:, None, None]
     group = np.arange(6)
-    slot = e - (3 * group - 1)  # the point follows digit e; group j starts at digit 3 j - 1
-    point = np.where((e >= 0) & (slot >= 0) & (slot <= 2), slot + 1, 0)
+    slot = e - 3 * group  # group j holds F's digits 3 j to 3 j + 2; when e >= 0 the point follows digit e
+    point = np.where((slot >= 0) & (slot <= 2), slot + 1, 0)
     strip = (group >= np.arange(6)[:, None]) & (slot < 3)  # group at or after the last non-zero one
-    first = (group == 0) & (e != -2)  # slot 0 is NUL, but at E = -2 group 0 keeps its leading 0, that of "0.0"
     codes = np.empty((19, 6, 2, 3, 7), np.intp)
-    codes[..., 0] = len(groups) + (e[..., None] < 0) + [[0], [2]] + 4 * np.arange(3)
-    codes[..., 1:] = ((~first) * 8000 + (point * 2 + strip) * 1000)[:, :, None, None, :]
+    codes[..., 0] = 8000 + (e[..., None] < 0) + [[0], [2]] + 4 * np.arange(3)
+    codes[..., 1:] = ((point * 2 + strip) * 1000)[:, :, None, None, :]
     words.setflags(write=False)
     codes.setflags(write=False)
     return words, codes.reshape(-1, 7)
@@ -261,9 +254,10 @@ def _csv_text(table: np.ndarray) -> str:
     carry = d == 10**17
     d[carry] = 10**16
     e += carry
+    d[e >= -1] *= 10  # F: D and one 0, or D alone at E = -2
 
     upper = d // 10**9
-    halves = np.stack([upper, d - upper * 10**9])
+    halves = np.stack([upper, d - upper * 10**9]).astype(np.int32)
     top = halves // 10**6
     rest = halves - top * 10**6
     mid = rest // 1000

@@ -77,7 +77,7 @@ def hermitian_part(arr: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigensystem(m, tol: float = 1e-10):
-    return np.linalg.eigh(hermitian_part(require_hermitian(m, tol)))
+    return np.linalg.eigh(hermitian_part(require_hermitian(m, tol, "Choi matrix")))
 
 
 def _split_dim(n: int, name: str) -> int:

@@ -135,6 +135,18 @@ def test_apply_channel_via_choi_frozen():
     assert np.max(np.abs(out - np.eye(2) / 2.0)) < 1e-15
 
 
+def test_apply_channel_via_choi_refuses_mismatched_shapes_and_stacks():
+    choi, rho = identity(4) / 2.0, np.eye(2) / 2.0
+    for c, r in (
+        (choi, np.eye(3) / 3.0),  # a qutrit state for a qubit Choi matrix
+        (identity(9) / 3.0, rho),  # a qutrit Choi matrix for a qubit state
+        (choi, np.stack([rho, rho])),
+        (np.stack([choi, choi]), rho),
+    ):
+        with pytest.raises(ValueError, match="does not match state shape"):
+            apply_channel_via_choi(c, r)
+
+
 def test_kraus_from_choi_round_trip():
     rng = np.random.default_rng(39)
     for _ in range(50):
@@ -163,7 +175,7 @@ def test_kraus_from_choi_rejects_non_cp():
         kraus_from_choi(swap_matrix())
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Choi matrix is not Hermitian"):
         kraus_from_choi(skew)
     with pytest.raises(ValueError, match=r"\(2, 4, 4\)"):
         kraus_from_choi(np.stack([maximally_entangled_projector()] * 2))
@@ -291,3 +303,7 @@ def test_finite_overflowing_choi_raises_value_error():
         # non-finite input keeps the eigensolver's own error
         with pytest.raises(np.linalg.LinAlgError):
             verify_cptp(np.full((4, 4), np.nan))
+        # which kraus_from_choi never reaches: a NaN or infinite entry fails its Hermiticity gate
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^Choi matrix is not Hermitian: defect nan"):
+                kraus_from_choi(np.full((4, 4), bad))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import decimal
 import functools
 import io
 import json
@@ -422,9 +423,10 @@ def csv_corpus():
     n = 6000
     powers = 10.0 ** np.arange(-6, 19)
     below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
-    # M / 2**(17 - E) with M odd has 18 significant digits ending in 5: an exact tie at digit 17
+    # M / 2**(17 - E) with M odd has 18 significant digits ending in 5: an exact tie at digit 17. E = 15 is the last
+    # exponent with ties: from 2**53 on every double is an even integer, which 17 digits hold exactly
     ties = []
-    for e in range(-4, 15):
+    for e in range(-4, 16):
         lo, hi = 10.0**e * 2.0 ** (17 - e), min(10.0 ** (e + 1) * 2.0 ** (17 - e), 2.0**53)
         ties.append((rng.integers(int(np.ceil(lo)), int(hi), 200) | 1) * 2.0 ** (e - 17))
     edges = [1e-4, 1e17, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308, 99999999999999984.0]
@@ -455,7 +457,30 @@ def csv_corpus():
         ),
         "mixed fast and slow": mixed,
         "slow only": slow,
+        "E = -2 to 16, 1 to 17 digits": digit_counts(np.random.default_rng(912)),
     }
+
+
+def percent_digits(x):
+    """E and the significant digits, trailing zeros dropped, of the %.17g text of |x|."""
+    d = decimal.Decimal("%.17g" % abs(x))
+    return d.adjusted(), "".join(map(str, d.as_tuple().digits)).rstrip("0")
+
+
+def digit_counts(rng):
+    """Up to 4 doubles, either sign, for each E in [-2, 16] whose %.17g text has n = 1 to 17 significant digits.
+
+    So F's last non-zero group, and the point where it shares that group, land in each of the six groups.
+    """
+    picked = []
+    for e in range(-2, 17):
+        for n in range(1, 18):
+            m = rng.integers(10 ** (n - 1), 10**n, 64) // 10 * 10 + rng.integers(1, 10, 64)  # n digits, the last not 0
+            x = np.array([float(f"{int(v)}e{e + 1 - n}") for v in m])
+            printed = [percent_digits(v) for v in x]
+            picked.append(x[[(got_e, len(digits)) == (e, n) for got_e, digits in printed]][:4])
+    picked = np.concatenate(picked)
+    return np.concatenate([picked, -picked])
 
 
 def assert_csv_matches(cells, cols, what):
@@ -473,6 +498,25 @@ def assert_table_matches(table, what):
 def test_csv_text_is_percent_formatting(cols):
     for name, cells in csv_corpus().items():
         assert_csv_matches(cells, cols, name)
+
+
+def test_csv_corpus_hits_every_layout_code():
+    """Every row of the code table formats some corpus cell in [1e-2, 1e17), first, after a comma and after a newline.
+
+    A row is (E, F's last non-zero group, sign, lead), read here off the % text. F is D and one 0, or at E = -2 one 0
+    and D, so D's last non-zero digit k is F's digit k, or k + 1 at E = -2; F's group j holds digits 3 j to 3 j + 2.
+    """
+    words, codes = cli._csv_tables()
+    assert words.shape == (8 * 1000 + 12,) and codes.shape == (19 * 6 * 2 * 3, 7)
+    assert not words.flags.writeable and not codes.flags.writeable
+    cells = np.concatenate([np.ravel(c) for c in csv_corpus().values()])
+    rows = {}
+    for x in cells[(np.abs(cells) >= 1e-2) & (np.abs(cells) < 1e17)]:
+        e, digits = percent_digits(x)
+        rows.setdefault((e, (len(digits) - 1 + (e == -2)) // 3, bool(x < 0)), x)
+    assert sorted(rows) == [(e, last, neg) for e in range(-2, 17) for last in range(6) for neg in (False, True)]
+    for row, x in rows.items():
+        assert_table_matches(np.full((2, 2), x), f"row {row}")  # x leads with nothing, a comma and a newline
 
 
 def test_import_builds_no_formatter_table_and_calls_no_eigensolver():
@@ -1104,6 +1148,15 @@ def test_empty_probability_list_exits_1(tmp_path):
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kraus", [[], {}, "junk", None, 2], ids=["empty", "object", "string", "null", "number"])
+def test_kraus_document_needs_a_non_empty_list(tmp_path, kraus):
+    path = write(tmp_path, "k.json", json.dumps({"dim": 2, "kraus": kraus}))
+    out = tmp_path / "out"
+    code, stdout, err = run_in_process(["channel", "choi-from-kraus", path, "-o", str(out)])
+    assert (code, stdout, err) == (1, "", "error: Kraus document needs a non-empty 'kraus' list\n")
+    assert not out.exists()
 
 
 # where a refused number can sit: each matrix, probability and Kraus reader, with the cell or value it replaces

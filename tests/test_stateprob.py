@@ -133,6 +133,9 @@ def test_tomogram_rejects_bad_inputs():
     rho = np.eye(2) / 2.0
     with pytest.raises(ValueError):
         tomogram(rho, [1.0, 1.0, 0.0])
+    for direction in (1.0, [1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]]):
+        with pytest.raises(ValueError, match="3-component direction"):
+            tomogram(rho, direction)
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
     with pytest.raises(ValueError):
         tomogram(not_psd, [0.0, 0.0, 1.0])
