@@ -34,8 +34,8 @@ __all__ = [
 
 def _split_dim(n: int, name: str) -> int:
     d = isqrt(n)
-    if d * d != n:
-        raise ValueError(f"{name} size {n} is not a perfect square")
+    if d * d != n or not d:
+        raise ValueError(f"{name} size {n} is not a positive perfect square")
     return d
 
 
@@ -47,8 +47,8 @@ def _as_kraus_set(kraus_ops) -> np.ndarray:
         raise ValueError("Kraus set is not one stack of numeric matrices of equal shape") from None
     if not len(ops):
         raise ValueError("Kraus set is empty")
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise ValueError(f"Kraus set must be square matrices stacking to shape (k, d, d), got {ops.shape}")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.shape[1]:
+        raise ValueError(f"Kraus set must be square matrices stacking to shape (k, d, d), d >= 1, got {ops.shape}")
     return ops
 
 
@@ -101,14 +101,12 @@ def apply_channel_via_choi(choi, rho) -> np.ndarray:
     return np.einsum("kilj,ij->kl", arr.reshape(d, d, d, d), state)
 
 
-def _eigen(solver, arr: np.ndarray, part):
-    """solver(part()) on the Hermitian part of arr; ValueError in place of its LinAlgError when arr is finite."""
+def _eigen(solver, part):
+    """solver(part()) on a Choi matrix's Hermitian part, with ValueError in place of every eigensolver LinAlgError."""
     try:
         return solver(part())
     except np.linalg.LinAlgError:
-        if not np.isfinite(arr).all():
-            raise
-    raise ValueError("Choi matrix entries are too large: its Hermitian part (D + D^dagger) / 2 overflows")
+        raise ValueError("Choi matrix entries are NaN, infinite or too large for the eigensolver") from None
 
 
 def kraus_from_choi(choi) -> list[np.ndarray]:
@@ -119,15 +117,16 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     eigenvalue order, each eigenvector's largest-magnitude component rotated
     to the positive real axis so the output is deterministic.
 
-    Raises ValueError when the input is a stack, is not Hermitian within
-    tol or has an eigenvalue below -tol.
+    Raises ValueError when the input is a stack or 0 x 0, is not Hermitian
+    within tol, is too large for the eigensolver or has an eigenvalue below
+    -tol.
     """
     tol = 1e-9
     arr = as_square(choi, "Choi matrix")
     if arr.ndim != 2:
         raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    vals, vecs = _eigen(np.linalg.eigh, arr, require_hermitian(arr, tol, "Choi matrix"))
+    vals, vecs = _eigen(np.linalg.eigh, require_hermitian(arr, tol, "Choi matrix"))
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
     keep = vals > tol
@@ -168,7 +167,7 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm, part = _hermitian_pass(arr, (-2, -1))
     tp_matrix = arr.reshape(arr.shape[:-2] + (d, d, d, d)).trace(axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    min_eig = _eigen(np.linalg.eigvalsh, arr, part)[..., 0]
+    min_eig = _eigen(np.linalg.eigvalsh, part)[..., 0]
     verdict = _VERDICTS[2 * ((herm <= tol) & (min_eig >= -tol)) + (tp_defect <= tol)]
     fields = (herm, arr.trace(axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
     if arr.ndim == 2:

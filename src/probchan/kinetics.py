@@ -15,9 +15,10 @@ is real about it:
     dP/dt = K (P - P_STAR),    K = Im(G) = x_1 K_1 + ... + x_4 K_4,
 
 where x = (h00, h11, Re h01, -Im h01) are the coordinates of h on E00,
-E11, sigma_x, sigma_y and K_a = Im(A Q(X_a) B) are exact constants. It is
-integrated here with fixed-step classical RK4; the exact solution
-D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) serves as an oracle.
+E11, sigma_x, sigma_y and K_a = Im(A Q(X_a) B) are exact constants. K's
+eigenvalues are 0 and +-iw, so fixed-step classical RK4 has the exact
+flow's three-vector form, sample by sample (evolve_blocks); the exact
+solution D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) is the oracle.
 """
 
 import functools
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PAULI_X, PAULI_Y, as_length, identity, require_hermitian, rk4_step
+from .matcore import PAULI_X, PAULI_Y, identity, require_hermitian
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -56,11 +57,12 @@ def validate_hamiltonian(h) -> np.ndarray:
     return require_hermitian(arr, 1e-12, "Hamiltonian")()
 
 
-def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
-    """t_max / dt, once t_max is positive and finite, 0 < dt <= t_max, the ratio is at most MAX_STEPS and RK4 is stable.
+def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> tuple[float, float]:
+    """(t_max / dt, w = l_max - l_min), once the time grid is valid and RK4 is stable on it.
 
-    h has passed validate_hamiltonian. K has eigenvalues 0 and +-i(l_max - l_min), and RK4's
-    amplification |R(iy)| exceeds 1 exactly when y > 2 sqrt(2): a larger dt (l_max - l_min) diverges.
+    t_max is positive and finite, 0 < dt <= t_max and the ratio is at most MAX_STEPS. h has passed
+    validate_hamiltonian; K has eigenvalues 0 and +-iw, and RK4's amplification |R(iy)| exceeds 1 exactly
+    when y > 2 sqrt(2): a larger dt w diverges.
     """
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be a positive finite number")
@@ -72,7 +74,7 @@ def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> float:
     spread = float(np.hypot(h[0, 0].real - h[1, 1].real, 2.0 * abs(h[0, 1])))
     if not dt * spread <= 2.0 * 2.0**0.5:
         raise ValueError(f"dt * (l_max - l_min) = {dt * spread!r} exceeds 2 sqrt(2): the RK4 steps would diverge")
-    return ratio
+    return ratio, spread
 
 
 def build_q(h) -> np.ndarray:
@@ -99,10 +101,14 @@ def _structure_constants() -> np.ndarray:
     return constants
 
 
+def _generator(h: np.ndarray) -> np.ndarray:
+    """sum_a x_a K_a for a validate_hamiltonian result h."""
+    return np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
+
+
 def build_generator(h) -> np.ndarray:
     """The real 15 x 15 generator K = Im(A Q B) of dP/dt = K (P - P_STAR), as sum_a x_a K_a."""
-    h = validate_hamiltonian(h)
-    return np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
+    return _generator(validate_hamiltonian(h))
 
 
 @dataclass
@@ -120,16 +126,17 @@ class Trajectory:
 def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
     """Run every check now, then return an iterator of (times, probs) blocks.
 
-    The checks (Hamiltonian, channel constraints on p0, time grid) raise
-    ValueError in this call, before any block exists. Block k holds samples
-    k * _BLOCK up to (k + 1) * _BLOCK - 1, shapes (b,) and (b, 15), so memory
-    stays bounded whatever t_max / dt is.
+    The checks (Hamiltonian, p0 one 15-vector meeting the channel constraints,
+    time grid) raise ValueError in this call, before any block exists. Block k
+    holds samples k * _BLOCK up to (k + 1) * _BLOCK - 1, shapes (b,) and (b, 15),
+    so memory stays bounded whatever t_max / dt is.
 
-    RK4 runs on z = P - P_STAR under dz/dt = K z, so one step is the matrix
-    M = rk4_step applied to the identity. Whole steps come from precomputed
-    powers, z[k + j] = M^j z[k], and z is carried from block to block; each
-    block is written out as z + P_STAR. A shorter final step lands exactly on
-    t_max when dt does not divide it. Sample 0 is p0 itself.
+    Sample n is RK4's n-th step from its index alone: one step acts on K's +-iw
+    eigenspaces as R = R(i w dt), RK4's stability function, so with
+    z0 = p0 - P_STAR, s = K z0 / w and c = -K s / w (both 0 when w = 0),
+    P_n = p0 + (Re R^n - 1) c + Im R^n s, and any split into blocks gives the
+    same bits. A shorter final step lands exactly on t_max when dt does not
+    divide it, multiplying in R(i w remainder) once.
 
     Args:
         h: 2 x 2 Hermitian matrix.
@@ -139,50 +146,43 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
             dt times h's eigenvalue spread at most 2 sqrt(2).
     """
     h = validate_hamiltonian(h)
-    p = as_length(p0, N_PROBS, "initial probabilities")
+    p = np.array(p0, dtype=float)
+    if p.shape != (N_PROBS,):
+        raise ValueError(f"expected one vector of {N_PROBS} initial probabilities, got shape {p.shape}")
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")
-    ratio = check_time_grid(h, t_max, dt)
-    k_mat = np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
-
-    def deriv(_t, z):
-        return k_mat @ z
+    ratio, w = check_time_grid(h, t_max, dt)
+    c = s = np.zeros(N_PROBS)
+    if w:
+        k_mat = _generator(h)
+        s = k_mat @ (p - P_STAR) / w
+        c = -(k_mat @ s) / w
 
     n_whole = int(np.floor(ratio * (1.0 + 4.0 * np.finfo(float).eps)))
     remainder = t_max - n_whole * dt
     n = n_whole + 1 + (remainder > 1e-9 * dt)
-    flat = _powers(rk4_step(deriv, np.eye(N_PROBS), 0.0, dt), min(_BLOCK, n_whole)).reshape(-1, N_PROBS)
+    y = w * dt
+    log_r = complex(0.5 * np.log1p(y**8 / 576.0 - y**6 / 72.0), np.angle(_stability(y)))  # |R|^2 = 1 - y^6/72 + y^8/576
+    last = _stability(w * remainder)
 
     def blocks():
-        z = p - P_STAR
         for start in range(0, n, _BLOCK):
-            times = np.arange(start, min(start + _BLOCK, n)) * dt
-            block = np.empty((len(times), N_PROBS))
-            stepped = block[1:] if start == 0 else block
-            whole = min(len(stepped), n_whole + 1 - max(start, 1))  # samples of whole steps
-            stepped[:whole] = (flat[: whole * N_PROBS] @ z).reshape(whole, N_PROBS)
-            if whole < len(stepped):  # the shorter final step
-                stepped[-1] = rk4_step(deriv, stepped[whole - 1] if whole else z, 0.0, remainder)
-            z = stepped[-1].copy()
-            stepped += P_STAR
-            if start == 0:
-                block[0] = p
-            if start + len(times) == n:
+            steps = np.arange(start, min(start + _BLOCK, n))
+            times = steps * dt
+            r = np.exp(np.minimum(steps, n_whole) * log_r)  # R^n, and R^n_whole before a shorter final step
+            if steps[-1] == n - 1:
                 times[-1] = t_max
-            yield times, block
+                if n > n_whole + 1:
+                    r[-1] *= last
+            yield times, p + (r.real - 1.0)[:, None] * c + r.imag[:, None] * s
 
     return blocks()
 
 
-def _powers(step: np.ndarray, n: int) -> np.ndarray:
-    """M^1..M^n of the 15 x 15 step matrix M, by doubling: each round multiplies up to k known powers by the last."""
-    powers = step[None]
-    while len(powers) < n:
-        k = min(len(powers), n - len(powers))
-        flat = powers[:k].reshape(-1, N_PROBS)
-        powers = np.concatenate([powers, (flat @ powers[-1]).reshape(k, N_PROBS, N_PROBS)])
-    return powers
+def _stability(y: float) -> complex:
+    """RK4's stability function on the imaginary axis, R(iy) = 1 + iy - y^2/2 - iy^3/6 + y^4/24."""
+    return complex(1.0 - y**2 / 2.0 + y**4 / 24.0, y - y**3 / 6.0)
 
 
 def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:

@@ -18,7 +18,6 @@ __all__ = [
     "PAULI_Z",
     "identity",
     "vec",
-    "rk4_step",
 ]
 
 
@@ -91,15 +90,3 @@ def vec(m) -> np.ndarray:
     arr = as_square(m)
     return arr.reshape(arr.shape[:-2] + (-1,))
 
-
-def rk4_step(f, y, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step for dy/dt = f(t, y).
-
-    Works for scalars and arrays alike; dt must be positive.
-    """
-    half = dt / 2.0
-    k1 = f(t, y)
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

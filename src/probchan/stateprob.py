@@ -173,7 +173,10 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
     describes a positive semidefinite state iff margin <= 1/4, checked with
     a 1e-12 slack.
     """
-    margin = float(((as_length(probs, 3).reshape(3) - 0.5) ** 2).sum())
+    p = as_length(probs, 3)
+    if p.ndim != 1:
+        raise ValueError(f"qubit_bloch_check takes one probability triple, got shape {p.shape}")
+    margin = float(((p - 0.5) ** 2).sum())
     return margin <= 0.25 + 1e-12, margin
 
 
@@ -227,10 +230,12 @@ def distribution_set(probs) -> DistributionSet:
 
     main = (p1+p2+p3-2, 1-p1, 1-p2, 1-p3) is the four-outcome distribution
     of the diagonal; each remaining component p spawns the dichotomic pair
-    (p, 1-p). Raises when p1+p2+p3 < 2, since the first outcome would go
-    negative.
+    (p, 1-p). Raises on a stack, and when p1+p2+p3 < 2, since the first
+    outcome would go negative.
     """
-    p = _as_probs(probs, N_PROBS).reshape(N_PROBS)
+    p = _as_probs(probs, N_PROBS)
+    if p.ndim != 1:
+        raise ValueError(f"distribution_set takes one probability vector, got shape {p.shape}")
     head = p[0] + p[1] + p[2] - 2.0
     if head < -1e-12:
         raise ValueError(f"p1 + p2 + p3 = {float(p[0] + p[1] + p[2])!r} is below 2, first outcome would be negative")

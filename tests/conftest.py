@@ -1,4 +1,7 @@
-"""Shared deterministic generators for random test inputs, the CLI runner and unitary_exp, a reference for the oracle."""
+"""Shared deterministic generators for random test inputs, the CLI runner, and two references.
+
+unitary_exp is the reference for the oracle, rk4_step the literal integrator evolve_blocks' closed form is held to.
+"""
 
 import os
 import subprocess
@@ -89,3 +92,16 @@ def unitary_exp(h, t) -> np.ndarray:
     vals, vecs = np.linalg.eigh(require_hermitian(as_square(h), 1e-12, "Hamiltonian")())
     phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ _adjoint(vecs)
+
+
+def rk4_step(f, y, t: float, dt: float):
+    """One classical fourth-order Runge-Kutta step for dy/dt = f(t, y).
+
+    Works for scalars and arrays alike; dt must be positive.
+    """
+    half = dt / 2.0
+    k1 = f(t, y)
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -5,6 +5,8 @@ helpers they called. Hypothesis draws every verdict, non-Hermitian matrices, NaN
 stacks and out-of-range probabilities, and each function must give what its copy gives: array dtype, shape and
 bytes, every CptpReport field by type and float.hex, or the same exception type and message. Warnings are
 errors in this suite, so the first floating-point warning a call raises is compared as an exception too.
+Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi matrices and d = 0 Kraus
+sets, a stack passed to qubit_bloch_check, and the ValueError in place of verify_cptp's eigensolver error.
 """
 
 import dataclasses
@@ -82,8 +84,8 @@ def hermitian_eigensystem(m, tol: float = 1e-10):
 
 def _split_dim(n: int, name: str) -> int:
     d = isqrt(n)
-    if d * d != n:
-        raise ValueError(f"{name} size {n} is not a perfect square")
+    if d * d != n or not d:
+        raise ValueError(f"{name} size {n} is not a positive perfect square")
     return d
 
 
@@ -94,8 +96,8 @@ def _as_kraus_set(kraus_ops) -> np.ndarray:
         raise ValueError("Kraus set is not one stack of numeric matrices of equal shape") from None
     if not len(ops):
         raise ValueError("Kraus set is empty")
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise ValueError(f"Kraus set must be square matrices stacking to shape (k, d, d), got {ops.shape}")
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.shape[1]:
+        raise ValueError(f"Kraus set must be square matrices stacking to shape (k, d, d), d >= 1, got {ops.shape}")
     return ops
 
 
@@ -132,7 +134,10 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm = hermiticity_defect(arr)
     tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
+    try:
+        min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
+    except np.linalg.LinAlgError:
+        raise ValueError("Choi matrix entries are NaN, infinite or too large for the eigensolver") from None
     cp_ok = (herm <= tol) & (min_eig >= -tol)
     verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
     fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
@@ -193,7 +198,10 @@ def qubit_probs_from_density(rho) -> np.ndarray:
 
 
 def qubit_bloch_check(probs) -> tuple[bool, float]:
-    margin = float(np.sum((as_length(probs, 3).reshape(3) - 0.5) ** 2))
+    p = as_length(probs, 3)
+    if p.ndim != 1:
+        raise ValueError(f"qubit_bloch_check takes one probability triple, got shape {p.shape}")
+    margin = float(np.sum((p - 0.5) ** 2))
     return margin <= 0.25 + 1e-12, margin
 
 

@@ -52,6 +52,18 @@ def test_apply_kraus_rejects_mismatch():
         apply_kraus([np.ones((2, 3))], np.eye(2))
 
 
+def test_size_zero_matrices_and_operators_are_refused():
+    empty = np.zeros((0, 0))
+    for fn in (kraus_from_choi, verify_cptp, superop_from_choi):
+        with pytest.raises(ValueError, match="size 0 is not a positive perfect square$"):
+            fn(empty)
+    for fn in (choi_from_kraus, kraus_tp_defect):
+        with pytest.raises(ValueError, match=r"d >= 1, got \(1, 0, 0\)$"):
+            fn([empty])
+    with pytest.raises(ValueError, match=r"d >= 1, got \(1, 0, 0\)$"):
+        apply_kraus([empty], empty)
+
+
 def test_choi_from_kraus_frozen_values():
     assert np.array_equal(choi_from_kraus([identity(2)]), maximally_entangled_projector())
     assert np.array_equal(
@@ -300,9 +312,10 @@ def test_finite_overflowing_choi_raises_value_error():
             with pytest.raises(ValueError, match="too large") as refused:
                 fn(arg)
             assert not isinstance(refused.value, np.linalg.LinAlgError)
-        # non-finite input keeps the eigensolver's own error
-        with pytest.raises(np.linalg.LinAlgError):
+        # non-finite input the eigensolver fails on gets the same ValueError
+        with pytest.raises(ValueError, match="NaN, infinite or too large") as refused:
             verify_cptp(np.full((4, 4), np.nan))
+        assert not isinstance(refused.value, np.linalg.LinAlgError)
         # which kraus_from_choi never reaches: a NaN or infinite entry fails its Hermiticity gate
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="^Choi matrix is not Hermitian: defect nan"):

@@ -19,9 +19,9 @@ from probchan.matcore import (
     PAULI_Y,
     PAULI_Z,
     identity,
-    rk4_step,
     vec,
 )
+from probchan.channelcore import choi_from_kraus
 from probchan.probchannel import (
     build_constants,
     channel_constraint_residuals,
@@ -30,7 +30,7 @@ from probchan.probchannel import (
     identity_channel_probs,
     probs_from_choi,
 )
-from conftest import complex_normal, random_channel_probs, random_hermitian, unitary_exp
+from conftest import complex_normal, random_channel_probs, random_hermitian, rk4_step, unitary_exp
 
 
 def complex_pair(h):
@@ -215,6 +215,9 @@ def test_evolve_rejects_bad_inputs():
             evolve(PAULI_Z, np.full(15, 0.5), 1.0)  # violates p1 + p3 = 3/2
         with pytest.raises(ValueError):
             evolve(PAULI_Z, p0[:14], 1.0)
+        for stack in (p0[None], np.stack([p0, p0])):
+            with pytest.raises(ValueError, match=r"one vector of 15 initial probabilities, got shape \([12], 15\)$"):
+                evolve(PAULI_Z, stack, 1.0)
         with pytest.raises(ValueError):
             evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), p0, 1.0)
 
@@ -313,6 +316,64 @@ def test_blocks_match_sequential_steps_across_block_boundaries():
         reference = sequential_trajectory(h, p0, n_whole, dt, t_max - n_whole * dt if remainder else 0.0)
         assert traj.probs.shape == reference.shape
         assert np.max(np.abs(traj.probs - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_any_block_size_gives_the_same_trajectory_bit_for_bit(monkeypatch, block):
+    """Each sample comes from its own index, so _BLOCK changes how the rows are cut and nothing else."""
+    rng = np.random.default_rng(70)
+    runs = [(random_hermitian(rng, 2, norm=3.0), random_channel_probs(rng), t_max, 1e-3) for t_max in (0.6, 1.0235)]
+    runs.append((100.0 * PAULI_X, identity_channel_probs(), 1.0, 0.0141))
+    whole = [evolve_probs(*run) for run in runs]  # 1,025 samples at most: one block
+    monkeypatch.setattr(kinetics, "_BLOCK", block)
+    for run, reference in zip(runs, whole):
+        blocks = list(evolve_blocks(*run))
+        n = len(reference.times)
+        assert [len(t) for t, _ in blocks] == [min(block, n - start) for start in range(0, n, block)]
+        assert np.concatenate([t for t, _ in blocks]).tobytes() == reference.times.tobytes()
+        assert np.concatenate([p for _, p in blocks]).tobytes() == reference.probs.tobytes()
+
+
+def literal_rk4(h, p0, n_whole, dt, remainder):
+    """The classical RK4 loop on dP/dt = Im(G) P + Im(g), one rk4_step per sample, then one of length remainder."""
+    big_g, small_g = complex_pair(h)
+    k_mat, k_vec = big_g.imag, small_g.imag
+
+    def deriv(_t, y):
+        return k_mat @ y + k_vec
+
+    probs = [p0]
+    for k in range(n_whole):
+        probs.append(rk4_step(deriv, probs[-1], k * dt, dt))
+    if remainder:
+        probs.append(rk4_step(deriv, probs[-1], n_whole * dt, remainder))
+    return np.array(probs)
+
+
+@pytest.mark.parametrize(
+    "h, dt",
+    [
+        (1e-300 * PAULI_X, 1e-2),
+        (5e-324 * PAULI_X, 1e-2),
+        (1e6 * identity(2) + 1e-3 * PAULI_Z, 1e-2),
+        (100.0 * PAULI_X, 0.0141),
+        (1e140 * PAULI_X, 1.3e-141),
+    ],
+    ids=["1e-300 sigma_x", "5e-324 sigma_x", "1e6 I + 1e-3 sigma_z", "100 sigma_x", "1e140 sigma_x"],
+)
+def test_closed_form_matches_the_literal_rk4_loop_at_extreme_scales(h, dt):
+    """w from h's entries and s, c from K agree with the literal loop whether w underflows, cancels or is huge."""
+    gamma = 0.3
+    damping = [np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])]
+    starts = [identity_channel_probs(), probs_from_choi(choi_from_kraus(damping))]
+    for p0 in starts:
+        for n_whole, remainder in ((120, 0.0), (120, 0.45 * dt)):
+            t_max = n_whole * dt + remainder
+            traj = evolve_probs(h, p0, t_max, dt)
+            reference = literal_rk4(h, p0, n_whole, dt, t_max - n_whole * dt if remainder else 0.0)
+            assert traj.probs.shape == reference.shape
+            assert np.array_equal(traj.probs[0], p0)
+            assert np.max(np.abs(traj.probs - reference)) <= 1e-12
 
 
 def test_batched_oracle_matches_per_time_closed_form():

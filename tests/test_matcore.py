@@ -11,13 +11,12 @@ from probchan.matcore import (
     identity,
     require_hermitian,
     require_range,
-    rk4_step,
     vec,
 )
 from probchan.kinetics import evolve_blocks
 from probchan.probchannel import identity_channel_probs, probs_from_choi
 from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_density, tomogram
-from conftest import complex_normal, random_hermitian, unitary_exp
+from conftest import complex_normal, random_hermitian, rk4_step, unitary_exp
 
 
 LIBRARY_LAYERS = ["matcore", "stateprob", "channelcore", "probchannel", "kinetics"]

@@ -296,3 +296,10 @@ def test_distribution_set_rejects_small_head():
     p[0], p[1], p[2] = 0.6, 0.6, 0.7
     with pytest.raises(ValueError, match=r"^p1 \+ p2 \+ p3 = 1\.9 is below 2"):
         distribution_set(p)
+
+
+def test_single_vector_functions_refuse_stacks():
+    with pytest.raises(ValueError, match=r"^distribution_set takes one probability vector, got shape \(2, 15\)$"):
+        distribution_set(np.full((2, 15), 0.75))
+    with pytest.raises(ValueError, match=r"^qubit_bloch_check takes one probability triple, got shape \(1, 3\)$"):
+        qubit_bloch_check([[0.5, 0.5, 0.5]])
