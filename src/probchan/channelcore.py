@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import _adjoint, _hermitian_pass, as_square, require_hermitian
+from .matcore import _adjoint, _hermitian_pass, _non_finite, as_square, require_hermitian
 
 __all__ = [
     "CptpReport",
@@ -43,7 +43,7 @@ def _as_kraus_set(kraus_ops) -> np.ndarray:
     """The Kraus operators as one (k, d, d) complex array, k >= 1."""
     try:
         ops = np.array(list(kraus_ops), dtype=complex)
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: a 0-d array or a scalar, which list() cannot iterate
         raise ValueError("Kraus set is not one stack of numeric matrices of equal shape") from None
     if not len(ops):
         raise ValueError("Kraus set is empty")
@@ -102,11 +102,11 @@ def apply_channel_via_choi(choi, rho) -> np.ndarray:
 
 
 def _eigen(solver, part):
-    """solver(part()) on a Choi matrix's Hermitian part, with ValueError in place of every eigensolver LinAlgError."""
+    """solver(part()) on a Choi matrix's Hermitian part, with _non_finite's refusal for any eigensolver LinAlgError."""
     try:
         return solver(part())
     except np.linalg.LinAlgError:
-        raise ValueError("Choi matrix entries are NaN, infinite or too large for the eigensolver") from None
+        raise _non_finite("Choi matrix") from None
 
 
 def kraus_from_choi(choi) -> list[np.ndarray]:
@@ -118,13 +118,11 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     to the positive real axis so the output is deterministic.
 
     Raises ValueError when the input is a stack or 0 x 0, is not Hermitian
-    within tol, is too large for the eigensolver or has an eigenvalue below
-    -tol.
+    within tol, has NaN, infinite or too large entries or has an eigenvalue
+    below -tol.
     """
     tol = 1e-9
-    arr = as_square(choi, "Choi matrix")
-    if arr.ndim != 2:
-        raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
+    arr = as_square(choi, "Choi matrix", one=True)
     d = _split_dim(arr.shape[-1], "Choi matrix")
     vals, vecs = _eigen(np.linalg.eigh, require_hermitian(arr, tol, "Choi matrix"))
     if vals[0] < -tol:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PAULI_X, PAULI_Y, identity, require_hermitian
+from .matcore import PAULI_X, PAULI_Y, _non_finite, as_length, as_square, identity, require_hermitian
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -51,10 +51,12 @@ P_STAR.setflags(write=False)
 
 def validate_hamiltonian(h) -> np.ndarray:
     """The Hermitian part of h, a 2 x 2 complex array Hermitian within 1e-12: the one gate, once per public entry."""
-    arr = np.asarray(h, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"expected a 2 x 2 Hamiltonian, got shape {arr.shape}")
-    return require_hermitian(arr, 1e-12, "Hamiltonian")()
+    arr = as_square(h, "Hamiltonian", 2, one=True)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # inf, or entries the part overflows: refused, not warned of
+            return require_hermitian(arr, 1e-12, "Hamiltonian")()
+    except FloatingPointError:
+        raise _non_finite("Hamiltonian") from None
 
 
 def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> tuple[float, float]:
@@ -146,9 +148,7 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
             dt times h's eigenvalue spread at most 2 sqrt(2).
     """
     h = validate_hamiltonian(h)
-    p = np.array(p0, dtype=float)
-    if p.shape != (N_PROBS,):
-        raise ValueError(f"expected one vector of {N_PROBS} initial probabilities, got shape {p.shape}")
+    p = as_length(np.array(p0, dtype=float), N_PROBS, "initial probabilities", one=True)
     ok, residuals = check_channel_prob_constraints(p)
     if not ok:
         raise ValueError(f"initial probabilities violate channel constraints, residuals {residuals}")

@@ -6,8 +6,9 @@ vec(A X B) = (A kron B^T) vec(X).
 The input checks every module shares live here too, one of each kind:
 as_square (a square matrix or a stack of them), as_length (a trailing axis
 of fixed length), require_range ([0, 1]) and require_hermitian, each run
-once at a public entry. _hermitian_pass is the one Hermiticity pass: one
-adjoint gives both the defect and the Hermitian part (m + m^dagger) / 2.
+once at a public entry; the two shape checks alone decide an input's size
+and whether it may be a stack. _hermitian_pass is the one Hermiticity pass:
+one adjoint gives both the defect and the Hermitian part (m + m^dagger) / 2.
 """
 
 import numpy as np
@@ -41,20 +42,27 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
 
-def as_square(m, what: str = "matrix") -> np.ndarray:
-    """Complex array of shape (..., n, n): one square matrix or a stack of them."""
+def as_square(m, what: str = "matrix", n: int | None = None, one: bool = False) -> np.ndarray:
+    """Complex array of shape (..., n, n): one square matrix or, unless one, a stack of them; n None takes any size."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {arr.shape}")
+    shape = arr.shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or n is not None and shape[-1] != n or one and len(shape) > 2:
+        size = "square" if n is None else f"{n} x {n}"
+        raise ValueError(f"expected a {size} {what}{'' if one else ' or a stack of them'}, got shape {shape}")
     return arr
 
 
-def as_length(v, n: int, what: str = "probabilities") -> np.ndarray:
-    """Float array of shape (..., n): one length-n vector or a stack of them."""
+def as_length(v, n: int, what: str = "probabilities", one: bool = False) -> np.ndarray:
+    """Float array of shape (..., n): one length-n vector or, unless one, a stack of them."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape[-1:] != (n,):
-        raise ValueError(f"expected {n} {what}, got shape {arr.shape}")
+    if arr.shape[-1:] != (n,) or one and arr.ndim > 1:
+        raise ValueError(f"expected {'one vector of ' if one else ''}{n} {what}, got shape {arr.shape}")
     return arr
+
+
+def _non_finite(what: str) -> ValueError:
+    """The one refusal of an input whose entries are NaN, infinite or overflow the arithmetic checking them."""
+    return ValueError(f"{what} has NaN, infinite or too large entries")
 
 
 def require_range(p: np.ndarray) -> np.ndarray:
@@ -75,10 +83,11 @@ def _hermitian_pass(arr: np.ndarray, axis=None):
 
 
 def require_hermitian(arr: np.ndarray, tol: float, what: str = "matrix"):
-    """The Hermitian part function of _hermitian_pass, once every matrix of arr is Hermitian within tol entrywise."""
+    """The Hermitian part function of _hermitian_pass, once arr is Hermitian within tol entrywise (defect finite)."""
     defect, part = _hermitian_pass(arr)
     if not defect <= tol:
-        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
+        text = f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
+        raise ValueError(text) if defect < np.inf else _non_finite(what)
     return part
 
 

@@ -22,7 +22,7 @@ to three scalar constraints on the probabilities:
 
 import numpy as np
 
-from .matcore import as_length, as_square, identity, vec
+from .matcore import _non_finite, as_length, as_square, identity, vec
 from .stateprob import N_PROBS, AffineConstants, affine_choi, affine_probs, build_constants
 
 __all__ = [
@@ -39,16 +39,15 @@ def probs_from_choi(choi) -> np.ndarray:
 
     The affine image is complex in general; its imaginary part must vanish
     within imag_tol = 1e-9 (it does exactly for Hermitian input), otherwise
-    ValueError. The real part is returned unclipped.
+    ValueError, and a non-finite entry makes it NaN. The real part is
+    returned unclipped.
     """
     imag_tol = 1e-9
-    arr = as_square(choi, "Choi matrix")
-    if arr.shape[-1] != 4:
-        raise ValueError(f"expected 4 Choi matrix columns, got shape {arr.shape}")
-    raw = affine_probs(arr)
+    raw = affine_probs(as_square(choi, "Choi matrix", 4))
     residue = np.abs(raw.imag).max(initial=0.0)
     if not residue <= imag_tol:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")
+        text = f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian"
+        raise ValueError(text) if residue > imag_tol else _non_finite("Choi matrix")
     return raw.real.copy()
 
 

@@ -26,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import as_length, require_hermitian, require_range
+from .matcore import as_length, as_square, require_hermitian, require_range
 
 __all__ = [
     "N_PROBS",
@@ -138,9 +138,7 @@ def _as_probs(p, n: int) -> np.ndarray:
 
 def _require_density(rho, dim: int):
     """(rho, its Hermitian part function) once rho is dim x dim and Hermitian with trace 1 within _DENSITY_TOL."""
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got shape {arr.shape}")
+    arr = as_square(rho, "density matrix", dim, one=True)
     part = require_hermitian(arr, _DENSITY_TOL, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
     if not trace_err <= _DENSITY_TOL:
@@ -173,9 +171,7 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
     describes a positive semidefinite state iff margin <= 1/4, checked with
     a 1e-12 slack.
     """
-    p = as_length(probs, 3)
-    if p.ndim != 1:
-        raise ValueError(f"qubit_bloch_check takes one probability triple, got shape {p.shape}")
+    p = as_length(probs, 3, one=True)
     margin = float(((p - 0.5) ** 2).sum())
     return margin <= 0.25 + 1e-12, margin
 
@@ -194,9 +190,7 @@ def tomogram(rho, direction) -> float:
     min_eig = np.linalg.eigvalsh(part())[0]
     if min_eig < -_DENSITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"expected a 3-component direction, got shape {n.shape}")
+    n = as_length(direction, 3, "direction components", one=True)
     norm = float(np.linalg.norm(n))
     if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"direction must be a unit vector, norm is {norm!r}")
@@ -233,9 +227,7 @@ def distribution_set(probs) -> DistributionSet:
     (p, 1-p). Raises on a stack, and when p1+p2+p3 < 2, since the first
     outcome would go negative.
     """
-    p = _as_probs(probs, N_PROBS)
-    if p.ndim != 1:
-        raise ValueError(f"distribution_set takes one probability vector, got shape {p.shape}")
+    p = require_range(as_length(probs, N_PROBS, one=True))
     head = p[0] + p[1] + p[2] - 2.0
     if head < -1e-12:
         raise ValueError(f"p1 + p2 + p3 = {float(p[0] + p[1] + p[2])!r} is below 2, first outcome would be negative")

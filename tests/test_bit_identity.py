@@ -5,8 +5,10 @@ helpers they called. Hypothesis draws every verdict, non-Hermitian matrices, NaN
 stacks and out-of-range probabilities, and each function must give what its copy gives: array dtype, shape and
 bytes, every CptpReport field by type and float.hex, or the same exception type and message. Warnings are
 errors in this suite, so the first floating-point warning a call raises is compared as an exception too.
-Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi matrices and d = 0 Kraus
-sets, a stack passed to qubit_bloch_check, and the ValueError in place of verify_cptp's eigensolver error.
+Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi matrices, d = 0 and 0-d Kraus
+sets, the ValueError in place of verify_cptp's eigensolver error, the shape refusals of as_square and as_length,
+which decide every input's size and whether it may be a stack, and the one message for NaN and infinite entries
+from the Hermiticity gate, the eigensolver and probs_from_choi's residue.
 """
 
 import dataclasses
@@ -30,18 +32,23 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
 
-def as_square(m, what: str = "matrix") -> np.ndarray:
+def as_square(m, what: str = "matrix", n=None, one=False) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or n is not None and arr.shape[-1] != n or one and arr.ndim > 2:
+        size = "square" if n is None else f"{n} x {n}"
+        raise ValueError(f"expected a {size} {what}{'' if one else ' or a stack of them'}, got shape {arr.shape}")
     return arr
 
 
-def as_length(v, n: int, what: str = "probabilities", dtype=float) -> np.ndarray:
+def as_length(v, n: int, what: str = "probabilities", dtype=float, one=False) -> np.ndarray:
     arr = np.asarray(v, dtype=dtype)
-    if arr.shape[-1:] != (n,):
-        raise ValueError(f"expected {n} {what}, got shape {arr.shape}")
+    if arr.shape[-1:] != (n,) or one and arr.ndim > 1:
+        raise ValueError(f"expected {'one vector of ' if one else ''}{n} {what}, got shape {arr.shape}")
     return arr
+
+
+def non_finite(what: str) -> ValueError:
+    return ValueError(f"{what} has NaN, infinite or too large entries")
 
 
 def require_range(p: np.ndarray) -> np.ndarray:
@@ -54,6 +61,8 @@ def require_range(p: np.ndarray) -> np.ndarray:
 def require_hermitian(m, tol: float, what: str = "matrix") -> np.ndarray:
     arr = as_square(m, what)
     defect = hermiticity_defect(arr).max(initial=0.0)
+    if not np.isfinite(defect):
+        raise non_finite(what)
     if not defect <= tol:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}")
     return arr
@@ -92,7 +101,7 @@ def _split_dim(n: int, name: str) -> int:
 def _as_kraus_set(kraus_ops) -> np.ndarray:
     try:
         ops = np.array(list(kraus_ops), dtype=complex)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError("Kraus set is not one stack of numeric matrices of equal shape") from None
     if not len(ops):
         raise ValueError("Kraus set is empty")
@@ -109,9 +118,7 @@ def choi_from_kraus(kraus_ops) -> np.ndarray:
 
 def kraus_from_choi(choi) -> list[np.ndarray]:
     tol = 1e-9
-    arr = as_square(choi, "Choi matrix")
-    if arr.ndim != 2:
-        raise ValueError(f"kraus_from_choi takes one Choi matrix, got shape {arr.shape}")
+    arr = as_square(choi, "Choi matrix", one=True)
     d = _split_dim(arr.shape[-1], "Choi matrix")
     vals, vecs = hermitian_eigensystem(arr, tol)
     if vals[0] < -tol:
@@ -137,7 +144,7 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     try:
         min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
     except np.linalg.LinAlgError:
-        raise ValueError("Choi matrix entries are NaN, infinite or too large for the eigensolver") from None
+        raise non_finite("Choi matrix") from None
     cp_ok = (herm <= tol) & (min_eig >= -tol)
     verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
     fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
@@ -163,8 +170,10 @@ def affine_choi(p: np.ndarray) -> np.ndarray:
 
 def probs_from_choi(choi) -> np.ndarray:
     imag_tol = 1e-9
-    raw = affine_probs(as_length(as_square(choi, "Choi matrix"), 4, "Choi matrix columns", complex))
+    raw = affine_probs(as_square(choi, "Choi matrix", 4))
     residue = np.abs(raw.imag).max(initial=0.0)
+    if np.isnan(residue):
+        raise non_finite("Choi matrix")
     if not residue <= imag_tol:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")
     return raw.real.copy()
@@ -179,9 +188,7 @@ def _as_probs(p, n: int) -> np.ndarray:
 
 
 def _require_density(rho, dim: int) -> np.ndarray:
-    arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"expected a {dim} x {dim} matrix, got shape {arr.shape}")
+    arr = as_square(rho, "density matrix", dim, one=True)
     require_hermitian(arr, _DENSITY_TOL, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
     if not trace_err <= _DENSITY_TOL:
@@ -198,9 +205,7 @@ def qubit_probs_from_density(rho) -> np.ndarray:
 
 
 def qubit_bloch_check(probs) -> tuple[bool, float]:
-    p = as_length(probs, 3)
-    if p.ndim != 1:
-        raise ValueError(f"qubit_bloch_check takes one probability triple, got shape {p.shape}")
+    p = as_length(probs, 3, one=True)
     margin = float(np.sum((p - 0.5) ** 2))
     return margin <= 0.25 + 1e-12, margin
 

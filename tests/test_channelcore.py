@@ -12,6 +12,7 @@ from probchan.channelcore import (
     verify_cptp,
 )
 from probchan.matcore import PAULI_X, PAULI_Z, identity, vec
+from probchan.probchannel import probs_from_choi
 from conftest import complex_normal, random_density, random_tp_kraus
 
 KET0_BRA0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -62,6 +63,14 @@ def test_size_zero_matrices_and_operators_are_refused():
             fn([empty])
     with pytest.raises(ValueError, match=r"d >= 1, got \(1, 0, 0\)$"):
         apply_kraus([empty], empty)
+
+
+def test_zero_dimensional_kraus_sets_are_refused():
+    # list() cannot iterate a 0-d array or a scalar; the refusal is the one for a set that is not a stack of matrices
+    for bad in (np.array(1.0), np.array(1.0 + 2.0j), 1.0):
+        for call in (lambda: apply_kraus(bad, np.eye(2)), lambda: kraus_tp_defect(bad), lambda: choi_from_kraus(bad)):
+            with pytest.raises(ValueError, match="^Kraus set is not one stack of numeric matrices of equal shape$"):
+                call()
 
 
 def test_choi_from_kraus_frozen_values():
@@ -312,11 +321,10 @@ def test_finite_overflowing_choi_raises_value_error():
             with pytest.raises(ValueError, match="too large") as refused:
                 fn(arg)
             assert not isinstance(refused.value, np.linalg.LinAlgError)
-        # non-finite input the eigensolver fails on gets the same ValueError
-        with pytest.raises(ValueError, match="NaN, infinite or too large") as refused:
-            verify_cptp(np.full((4, 4), np.nan))
-        assert not isinstance(refused.value, np.linalg.LinAlgError)
-        # which kraus_from_choi never reaches: a NaN or infinite entry fails its Hermiticity gate
+        # NaN and infinite entries get the same one message, whichever check meets them first: the eigensolver in
+        # verify_cptp, the Hermiticity gate in kraus_from_choi, the imaginary residue in probs_from_choi
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="^Choi matrix is not Hermitian: defect nan"):
-                kraus_from_choi(np.full((4, 4), bad))
+            for fn in (verify_cptp, kraus_from_choi, probs_from_choi):
+                with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:
+                    fn(np.full((4, 4), bad))
+                assert not isinstance(refused.value, np.linalg.LinAlgError)

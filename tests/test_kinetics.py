@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,33 @@ def test_oracle_is_elementwise_in_time():
             parts = [oracle_probs(h, part) for part in np.split(times, cuts)]
             assert np.array_equal(np.concatenate(parts), whole)
         assert np.array_equal(np.stack([oracle_probs(h, t) for t in times[:50]]), whole[:50])
+
+
+def test_non_finite_or_overflowing_hamiltonian_is_refused_without_a_warning():
+    # 1e308 is finite, but the Hermitian part (h + h^dagger) / 2 overflows; warnings are errors here, so an entry that
+    # warned before its refusal would fail the test, and with numpy's warnings ignored it must still be refused
+    nan, inf = float("nan"), float("inf")
+    bad = [
+        np.full((2, 2), 1e308),
+        [[0.0, 1e308], [1e308, 0.0]],
+        [[-1e308, 0.0], [0.0, -1e308]],
+        [[inf, 0.0], [0.0, 1.0]],
+        [[0.0, complex(0.0, inf)], [0.0, 0.0]],
+        [[nan, 0.0], [0.0, 1.0]],
+    ]
+    p0 = identity_channel_probs()
+    entries = (validate_hamiltonian, build_q, build_generator, lambda h: oracle_probs(h, 1.0))
+    entries += (lambda h: evolve_blocks(h, p0, 1.0),)
+    for errstate in ("warn", "ignore"):
+        with warnings.catch_warnings(), np.errstate(all=errstate):
+            warnings.simplefilter("error")
+            for h in bad:
+                for entry in entries:
+                    with pytest.raises(ValueError, match="^Hamiltonian has NaN, infinite or too large entries$"):
+                        entry(h)
+            # entries whose Hermitian part stays finite pass unchanged
+            big = np.array([[8e307, 8e307j], [-8e307j, -8e307]])
+            assert np.array_equal(validate_hamiltonian(big), big)
 
 
 def test_oracle_gates_the_hamiltonian_once(monkeypatch):

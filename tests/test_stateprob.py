@@ -134,7 +134,7 @@ def test_tomogram_rejects_bad_inputs():
     with pytest.raises(ValueError):
         tomogram(rho, [1.0, 1.0, 0.0])
     for direction in (1.0, [1.0, 0.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]]):
-        with pytest.raises(ValueError, match="3-component direction"):
+        with pytest.raises(ValueError, match="^expected one vector of 3 direction components, got shape"):
             tomogram(rho, direction)
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
     with pytest.raises(ValueError):
@@ -299,7 +299,7 @@ def test_distribution_set_rejects_small_head():
 
 
 def test_single_vector_functions_refuse_stacks():
-    with pytest.raises(ValueError, match=r"^distribution_set takes one probability vector, got shape \(2, 15\)$"):
+    with pytest.raises(ValueError, match=r"^expected one vector of 15 probabilities, got shape \(2, 15\)$"):
         distribution_set(np.full((2, 15), 0.75))
-    with pytest.raises(ValueError, match=r"^qubit_bloch_check takes one probability triple, got shape \(1, 3\)$"):
+    with pytest.raises(ValueError, match=r"^expected one vector of 3 probabilities, got shape \(1, 3\)$"):
         qubit_bloch_check([[0.5, 0.5, 0.5]])
