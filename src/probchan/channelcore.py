@@ -163,6 +163,8 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     arr = as_square(choi, "Choi matrix")
     d = _split_dim(arr.shape[-1], "Choi matrix")
     herm, part = _hermitian_pass(arr, (-2, -1))
+    if (herm != herm).any():  # a NaN entry, which the eigensolver may not fail on
+        raise _non_finite("Choi matrix")
     tp_matrix = arr.reshape(arr.shape[:-2] + (d, d, d, d)).trace(axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
     min_eig = _eigen(np.linalg.eigvalsh, part)[..., 0]

@@ -18,10 +18,10 @@ to `channel to-probs`).
 
 The command line is read from one table of arguments per subcommand, by
 argparse only when it is not spelled plainly. A usage error is one `error:`
-line and exit 1; `-h` or `--help` prints the usage of the table and exits 0.
+line and exit 1; `-h` or `--help` prints the help of the argparse parser built
+from the same table, at a fixed width, and exits 0.
 """
 
-import contextlib
 import functools
 import json
 import math
@@ -52,39 +52,34 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:  # decoded once, to the text a text-mode read gives: universal newlines
+            return fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_object(text: str, what: str) -> dict:
+def _parse_object(text: str, what: str, dim: int | None = None) -> dict:
+    """The document's object, once its 'dim' is the int dim if dim is given, before any cell is read."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{what} document must be a JSON object")
-    return doc
-
-
-def _parse_sized(text: str, what: str, dim: int) -> dict:
-    """The document's object once its 'dim' is the int dim, before any cell is read; anything else is malformed."""
-    doc = _parse_object(text, what)
-    if type(doc.get("dim")) is not int or doc["dim"] != dim:
+    if dim is not None and (type(doc.get("dim")) is not int or doc["dim"] != dim):
         raise FormatError(f"{what} document needs 'dim': {dim}")
     return doc
 
 
-def _as_number(value, what: str) -> float:
-    """value as a float if an int or float within _MAX_MAGNITUDE; all else reads as NaN, which the one bound refuses."""
+def _as_number(value, what: str, *at) -> float:
+    """value as a float if an int or float within _MAX_MAGNITUDE, else a FormatError naming it what % at."""
     try:
         number = float(value) if type(value) in (int, float) else math.nan
     except OverflowError:
         number = math.nan
     if not abs(number) <= _MAX_MAGNITUDE:
         shown = repr(value) if type(value) is float else type(value).__name__
-        raise FormatError(f"{what} must be a number of magnitude at most {_MAX_MAGNITUDE:g}, got {shown}")
+        raise FormatError(f"{what % at} must be a number of magnitude at most {_MAX_MAGNITUDE:g}, got {shown}")
     return number
 
 
@@ -98,14 +93,14 @@ def _grid_to_matrix(entries, dim: int, what: str) -> np.ndarray:
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise FormatError(f"{what} cell ({i},{j}) must be a [re, im] pair")
-            re = _as_number(cell[0], f"{what} cell ({i},{j}) real part")
-            im = _as_number(cell[1], f"{what} cell ({i},{j}) imaginary part")
+            re = _as_number(cell[0], "%s cell (%d,%d) real part", what, i, j)
+            im = _as_number(cell[1], "%s cell (%d,%d) imaginary part", what, i, j)
             out[i, j] = complex(re, im)
     return out
 
 
 def _parse_matrix_doc(text: str, what: str, dim: int) -> np.ndarray:
-    return _grid_to_matrix(_parse_sized(text, what, dim).get("entries"), dim, what)
+    return _grid_to_matrix(_parse_object(text, what, dim).get("entries"), dim, what)
 
 
 def _parse_probs_doc(text: str, n: int) -> np.ndarray:
@@ -116,12 +111,12 @@ def _parse_probs_doc(text: str, n: int) -> np.ndarray:
         raise FormatError("probability document needs a 'probs' list")
     if len(probs) != n:
         raise FormatError(f"expected {n} probabilities, got {len(probs)}")
-    return require_range(np.array([_as_number(x, f"probs[{i}]") for i, x in enumerate(probs)]))
+    return require_range(np.array([_as_number(x, "probs[%d]", i) for i, x in enumerate(probs)]))
 
 
 def _parse_kraus_doc(text: str) -> list[np.ndarray]:
     """The document's 2 x 2 Kraus operators."""
-    kraus = _parse_sized(text, "Kraus", 2).get("kraus")
+    kraus = _parse_object(text, "Kraus", 2).get("kraus")
     if not isinstance(kraus, list) or not kraus:
         raise FormatError("Kraus document needs a non-empty 'kraus' list")
     return [_grid_to_matrix(grid, 2, f"Kraus operator {k}") for k, grid in enumerate(kraus)]
@@ -148,14 +143,9 @@ def _probs_text(p: np.ndarray) -> str:
 
 def _report_text(report: channelcore.CptpReport) -> str:
     return (
-        "{\n"
-        f'  "hermiticity_defect": {_fmt(report.hermiticity_defect)},\n'
-        f'  "trace_value": {_fmt(report.trace_value)},\n'
-        f'  "tp_defect": {_fmt(report.tp_defect)},\n'
-        f'  "min_eigenvalue": {_fmt(report.min_eigenvalue)},\n'
-        f'  "verdict": "{report.verdict}"\n'
-        "}\n"
-    )
+        '{\n  "hermiticity_defect": %.17g,\n  "trace_value": %.17g,\n  "tp_defect": %.17g,\n'
+        '  "min_eigenvalue": %.17g,\n  "verdict": "%s"\n}\n'
+    ) % tuple(vars(report).values())
 
 
 # Every evolve CSV cell is exactly the %.17g text of its double. Cells with
@@ -307,11 +297,15 @@ def _trajectory_csv(blocks, h):
 
 
 def _write_text(path: str, chunks) -> None:
-    """Write an iterable of strings, one write() each, to path or to stdout for '-'."""
+    """Write an iterable of strings, one write() each, to path as UTF-8 or to stdout for '-'."""
     try:
-        with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
+        if path == "-":
             for chunk in chunks:
-                fh.write(chunk)
+                sys.stdout.write(chunk)
+        else:
+            with open(path, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk.encode())
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
@@ -395,8 +389,7 @@ def cmd_evolve(args) -> int:
 # The help and arguments of the top level (None) and of each subcommand, as (names, dest, type, default, choices,
 # help): a positional has no names, a flag of type None takes no value, a default of None marks a required argument
 # and any other default is written as it would be typed. _plain reads a plainly spelled command line from this
-# table; every other one goes to the argparse parser built from it, so the running Python's argparse reads it.
-_HELP = (("-h", "--help"), "help", None, False, None, "show this help and exit")
+# table; every other one, -h and --help too, goes to the argparse parser built from it and its help texts.
 _INPUT = ((), "input", str, None, None, "input file path, or - for stdin")
 _OUTPUT = (("-o", "--output"), "output", str, "-", None, "output file path, or - for stdout")
 _COMMANDS = {
@@ -420,23 +413,6 @@ _COMMANDS = {
         (("--oracle",), "oracle", None, False, None, "append closed-form columns o1..o15 and a max_dev line"),
         (("--output",), "output", str, "-", None, "output file path, or - for stdout"))),
 }
-
-
-class _Help(Exception):
-    """-h or --help was read; the message is the usage text to print."""
-
-
-def _usage(command) -> str:
-    """The --help text of the top level (command None) or of one subcommand, one line per argument."""
-    about, table = _COMMANDS[command]
-    rows = []
-    for names, dest, convert, default, choices, text in (*table, _HELP):
-        spelled = (", ".join(names) or dest) + (" {%s}" % ",".join(map(str, choices)) if choices else "")
-        note = " (required)" if default is None else f" (default {default})" if convert else ""
-        rows.append(f"  {spelled:<32} {text}{note}\n")
-    if command is None:  # a row for each subcommand, under the command's
-        rows[1:1] = [f"    {name:<30} {text}\n" for name, (text, _) in list(_COMMANDS.items())[1:]]
-    return f"usage: probchan {command or 'COMMAND'} [-h] ...\n\n{about}\n\n" + "".join(rows)
 
 
 def _plain(argv: list):
@@ -474,35 +450,33 @@ def _plain(argv: list):
 
 @functools.cache
 def _argparse_tree():
-    """The argparse parser of _COMMANDS, built on first use; usage errors raise FormatError, -h and --help _Help."""
+    """The argparse parser of _COMMANDS, built on first use: FormatError on a usage error, SystemExit(0) after help."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             raise FormatError(message)
 
-    class Help(argparse.Action):
-        def __call__(self, *_):
-            raise _Help(_usage(self.const))
-
-    tree = Parser(prog="probchan", add_help=False)
-    subparsers = tree.add_subparsers(dest="command", required=True)
-    for command, (_, table) in _COMMANDS.items():  # the top level's one argument is the subparsers
-        parser = subparsers.add_parser(command, add_help=False) if command else tree
-        parser.add_argument(*_HELP[0], action=Help, nargs=0, const=command, dest=argparse.SUPPRESS)
-        for names, dest, convert, default, choices, _ in table if command else ():
+    fixed = functools.partial(argparse.HelpFormatter, width=80)  # the same help whatever the terminal or COLUMNS
+    about, ((_, dest, _, _, _, text),) = _COMMANDS[None]
+    tree = Parser(prog="probchan", description=about, formatter_class=fixed)
+    subparsers = tree.add_subparsers(dest=dest, required=True, help=text)
+    for command, (about, table) in list(_COMMANDS.items())[1:]:
+        parser = subparsers.add_parser(command, help=about, description=about, formatter_class=fixed)
+        for names, dest, convert, default, choices, text in table:
             if not names:
-                parser.add_argument(dest, type=convert, choices=choices)
+                parser.add_argument(dest, type=convert, choices=choices, help=text)
             elif convert is None:
-                parser.add_argument(*names, dest=dest, action="store_true")
+                parser.add_argument(*names, dest=dest, action="store_true", help=text)
             else:
+                note = "" if default is None else f" (default {default})"
                 parser.add_argument(*names, dest=dest, type=convert, choices=choices, default=default,
-                                    required=default is None)
+                                    required=default is None, help=text + note)
     return tree
 
 
 def _parse(argv: list):
-    """The command and its arguments; raises FormatError on a usage error, _Help for -h and --help."""
+    """The command and its arguments; raises FormatError on a usage error, SystemExit(0) after printing help."""
     args = _plain(argv)
     return _argparse_tree().parse_args(argv) if args is None else args
 
@@ -511,9 +485,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         return {"state": cmd_state, "channel": cmd_channel, "evolve": cmd_evolve}[args.command](args)
-    except _Help as usage:
-        print(usage, end="")
-        return 0
+    except SystemExit as exc:  # -h or --help, after argparse printed the help
+        return exc.code
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,8 @@ errors in this suite, so the first floating-point warning a call raises is compa
 Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi matrices, d = 0 and 0-d Kraus
 sets, the ValueError in place of verify_cptp's eigensolver error, the shape refusals of as_square and as_length,
 which decide every input's size and whether it may be a stack, and the one message for NaN and infinite entries
-from the Hermiticity gate, the eigensolver and probs_from_choi's residue.
+from the Hermiticity gate, the eigensolver and probs_from_choi's residue, and verify_cptp's refusal of every NaN
+entry, which its eigensolver returned on at (0, 0) and (3, 3).
 """
 
 import dataclasses
@@ -139,6 +140,8 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     arr = as_square(choi, "Choi matrix")
     d = _split_dim(arr.shape[-1], "Choi matrix")
     herm = hermiticity_defect(arr)
+    if np.isnan(herm).any():
+        raise non_finite("Choi matrix")
     tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
     try:

@@ -321,10 +321,23 @@ def test_finite_overflowing_choi_raises_value_error():
             with pytest.raises(ValueError, match="too large") as refused:
                 fn(arg)
             assert not isinstance(refused.value, np.linalg.LinAlgError)
-        # NaN and infinite entries get the same one message, whichever check meets them first: the eigensolver in
+        # NaN and infinite entries get the same one message, whichever check meets them first: the NaN check in
         # verify_cptp, the Hermiticity gate in kraus_from_choi, the imaginary residue in probs_from_choi
         for bad in (np.nan, np.inf):
             for fn in (verify_cptp, kraus_from_choi, probs_from_choi):
                 with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:
                     fn(np.full((4, 4), bad))
                 assert not isinstance(refused.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)], ids=["real", "imaginary"])
+def test_verify_cptp_refuses_a_nan_at_every_entry(nan):
+    """A NaN at any of the 16 entries, of one Choi matrix or of one in a stack, is refused with no warning and no
+    report; the eigensolver returns rather than fails on some of them, such as a NaN at (0, 0)."""
+    for at in np.ndindex(4, 4):
+        choi = identity(4) / 2.0
+        choi[at] = nan
+        for arg in (choi, np.stack([identity(4) / 2.0, choi])):
+            with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$"):
+                verify_cptp(arg)
