@@ -20,11 +20,16 @@ The command line is read from one table of arguments per subcommand, by
 argparse only when it is not spelled plainly. A usage error is one `error:`
 line and exit 1; `-h` or `--help` prints the help of the argparse parser built
 from the same table, at a fixed width, and exits 0.
+
+Every output document, help included, is written by one route, which
+flushes stdout: a write that fails, to a file or to stdout, is one
+`error: cannot write` line and exit 1.
 """
 
 import functools
 import json
 import math
+import os
 import sys
 import types
 
@@ -297,17 +302,34 @@ def _trajectory_csv(blocks, h):
 
 
 def _write_text(path: str, chunks) -> None:
-    """Write an iterable of strings, one write() each, to path as UTF-8 or to stdout for '-'."""
+    """Write an iterable of strings, one write() each, to path as UTF-8 or to stdout for '-', then flush stdout.
+
+    After a failed write to stdout, its file descriptor, when it has one, is pointed at the null device, as
+    Python's note on SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits.
+    """
     try:
         if path == "-":
             for chunk in chunks:
                 sys.stdout.write(chunk)
+            sys.stdout.flush()
         else:
             with open(path, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk.encode())
     except OSError as exc:
+        if path == "-":
+            _null_stdout()
         raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _null_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # an in-process caller's StringIO has none
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +478,9 @@ def _argparse_tree():
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             raise FormatError(message)
+
+        def print_help(self, file=None):  # argparse would drop a failed write to stdout and exit 0
+            _write_text("-", [self.format_help()])
 
     fixed = functools.partial(argparse.HelpFormatter, width=80)  # the same help whatever the terminal or COLUMNS
     about, ((_, dest, _, _, _, text),) = _COMMANDS[None]

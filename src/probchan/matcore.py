@@ -67,9 +67,9 @@ def _non_finite(what: str) -> ValueError:
 
 def require_range(p: np.ndarray) -> np.ndarray:
     """p itself when every entry lies in [0, 1], else ValueError naming the first that does not."""
-    inside = (p >= 0.0) & (p <= 1.0)  # NaN is outside too
-    if np.count_nonzero(inside) < inside.size:
-        raise ValueError(f"probability {float(p[~inside][0])!r} lies outside [0, 1]")
+    low, high = np.minimum.reduce(p, axis=None, initial=0.0), np.maximum.reduce(p, axis=None, initial=1.0)
+    if not (low >= 0.0 and high <= 1.0):  # NaN fails both; the mask is built only to name the first entry outside
+        raise ValueError(f"probability {float(p[~((p >= 0.0) & (p <= 1.0))][0])!r} lies outside [0, 1]")
     return p
 
 
@@ -79,7 +79,7 @@ def _hermitian_pass(arr: np.ndarray, axis=None):
     The part waits for its call, after any gate on the defect: a rejected input warns only as the check does.
     """
     adj = _adjoint(arr)
-    return np.abs(arr - adj).max(axis=axis, initial=0.0), lambda: (arr + adj) / 2.0
+    return np.maximum.reduce(np.abs(arr - adj), axis=axis, initial=0.0), lambda: (arr + adj) / 2.0
 
 
 def require_hermitian(arr: np.ndarray, tol: float, what: str = "matrix"):

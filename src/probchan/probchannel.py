@@ -44,7 +44,7 @@ def probs_from_choi(choi) -> np.ndarray:
     """
     imag_tol = 1e-9
     raw = affine_probs(as_square(choi, "Choi matrix", 4))
-    residue = np.abs(raw.imag).max(initial=0.0)
+    residue = np.maximum.reduce(np.abs(raw.imag), axis=None, initial=0.0)
     if not residue <= imag_tol:
         text = f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian"
         raise ValueError(text) if residue > imag_tol else _non_finite("Choi matrix")

@@ -172,7 +172,7 @@ def qubit_bloch_check(probs) -> tuple[bool, float]:
     a 1e-12 slack.
     """
     p = as_length(probs, 3, one=True)
-    margin = float(((p - 0.5) ** 2).sum())
+    margin = float(np.add.reduce((p - 0.5) ** 2))
     return margin <= 0.25 + 1e-12, margin
 
 

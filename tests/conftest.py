@@ -14,25 +14,27 @@ from probchan.matcore import _adjoint, as_square, require_hermitian
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_python(args, stdin_text=None):
+def run_python(args, stdin_text=None, stdout=subprocess.PIPE):
     """Run `python -W error ARGS` in a child process that imports the package from this checkout's src.
 
     -W error turns a warning in the child into a failure, as filterwarnings = ["error"] does in this process.
+    stdout is captured unless a file is given for it.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error", *args],
         input=stdin_text,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, stdout=subprocess.PIPE):
     """Run `python -W error -m probchan ARGS` in a child process, as run_python does."""
-    return run_python(["-m", "probchan", *args], stdin_text)
+    return run_python(["-m", "probchan", *args], stdin_text, stdout)
 
 
 def complex_normal(rng, shape):

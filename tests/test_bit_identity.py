@@ -273,7 +273,9 @@ def assert_same(pairs, arg):
 
 def _partial_transpose(choi):
     """D_{ki,lj} -> D_{kj,li}: keeps the partial trace of the first slot, so TP stays TP, but breaks positivity."""
-    return choi.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    n = len(choi)
+    d = isqrt(n)
+    return choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(n, n)
 
 
 @st.composite
@@ -414,13 +416,19 @@ def test_one_eigensolve_per_cptp_check_and_kraus_extraction_and_none_elsewhere(m
 
 
 def test_stacked_cptp_report_is_its_single_reports_bit_for_bit():
+    """At d = 2, 1 and 3; each single matrix also in Fortran order, whose partial trace is not C-contiguous."""
     rng = np.random.default_rng(1702)
     unitary = channelcore.choi_from_kraus(random_tp_kraus(rng, 1))
-    stack = np.stack([channelcore.choi_from_kraus(random_tp_kraus(rng, 3)), 0.5 * unitary, _partial_transpose(unitary)])
-    stacked = channelcore.verify_cptp(stack)
-    for i, choi in enumerate(stack):
-        single = channelcore.verify_cptp(choi)
-        for field in dataclasses.fields(CptpReport):
-            want, got = getattr(single, field.name), getattr(stacked, field.name)[i].item()
-            assert describe(got) == describe(want), (i, field.name)
-    assert stacked.verdict.tolist() == ["CPTP", "CP-not-TP", "TP-not-CP"]
+    rank3 = channelcore.choi_from_kraus(random_tp_kraus(rng, 3))
+    cases = [(np.stack([rank3, 0.5 * unitary, _partial_transpose(unitary)]), "TP-not-CP")]
+    for dim, last in ((1, "CPTP"), (3, "TP-not-CP")):  # at d = 1 the partial transpose changes nothing
+        choi = channelcore.choi_from_kraus(random_tp_kraus(rng, 3, dim))
+        cases.append((np.stack([choi, 0.5 * choi, _partial_transpose(choi)]), last))
+    for stack, last in cases:
+        stacked = channelcore.verify_cptp(stack)
+        for i, choi in enumerate(stack):
+            for single in (channelcore.verify_cptp(choi), channelcore.verify_cptp(np.asfortranarray(choi))):
+                for field in dataclasses.fields(CptpReport):
+                    want, got = getattr(single, field.name), getattr(stacked, field.name)[i].item()
+                    assert describe(got) == describe(want), (len(choi), i, field.name)
+        assert stacked.verdict.tolist() == ["CPTP", "CP-not-TP", last]

@@ -5,6 +5,8 @@ import decimal
 import functools
 import io
 import json
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -664,6 +666,21 @@ def test_unwritable_output_exits_1(tmp_path):
         result = run_cli(args)
         assert result.returncode == 1
         assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_cannot_be_written_exits_1(monkeypatch):
+    """Buffered, as a program's stdout is unless PYTHONUNBUFFERED is set, a failed write is still one line and exit 1."""
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    for args, stdin_text in (
+        (["state", "from-probs", "--dim", "2", "-"], probs_doc([0.5, 0.5, 0.5])),
+        (["channel", "check", "-", "-o", "-"], matrix_doc(identity_choi())),
+        (["--help"], None),
+    ):
+        with open("/dev/full", "w") as full:
+            result = run_cli(args, stdin_text, stdout=full)
+        assert result.returncode == 1, (args, result.stderr)
+        assert re.fullmatch(r"error: cannot write -: [^\n]*\n", result.stderr), (args, result.stderr)
 
 
 def test_input_numbers_are_bounded_by_1e150(tmp_path):
