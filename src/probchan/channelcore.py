@@ -127,12 +127,12 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     vals, vecs = _eigen(np.linalg.eigh, require_hermitian(arr, tol, "Choi matrix"))
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
-    k = np.count_nonzero(vals > tol)  # eigh's values ascend, so the kept ones are the last k
-    vals, cols = vals[::-1][:k], vecs.T[::-1][:k]
-    pivots = cols[range(k), np.abs(cols).argmax(axis=1)][:, None]
+    k = np.count_nonzero(vals > tol)  # eigh's values ascend, so the kept ones are the last k, taken descending
+    vals, cols = vals[: -k - 1 : -1], vecs[:, : -k - 1 : -1]
+    pivots = cols[np.abs(cols).argmax(axis=0), np.arange(k)]
     # np.hypot, not np.abs: on a complex array np.abs can round the modulus differently in the last bit
-    cols = cols * (pivots.conj() / np.hypot(pivots.real, pivots.imag))
-    return list(np.sqrt(vals)[:, None, None] * cols.reshape(k, d, d))
+    phase = pivots.conj() / np.hypot(pivots.real, pivots.imag)
+    return list((np.sqrt(vals) * (cols * phase)).T.reshape(k, d, d))
 
 
 @dataclass(frozen=True)
@@ -163,18 +163,17 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     arr = as_square(choi, "Choi matrix")
     d = _split_dim(arr.shape[-1], "Choi matrix")
     herm, part = _hermitian_pass(arr, (-2, -1))
-    if (herm != herm).any():  # a NaN entry, which the eigensolver may not fail on
+    if np.logical_or.reduce(herm != herm, axis=None):  # a NaN entry, which the eigensolver may not fail on
         raise _non_finite("Choi matrix")
     lead = arr.shape[:-2]
-    # each partial trace as a row of d*d entries, in a new array (the trace's own result, or a copy of it when the
-    # input is not C-ordered) that is then both written and read: the identity comes off every (d+1)-th entry
+    # each partial trace as a row of d*d entries of the trace's own new array (C-ordered input): the identity comes off
     tp = arr.reshape(lead + (d, d, d, d)).trace(axis1=-4, axis2=-2).reshape(lead + (d * d,))
     tp[..., :: d + 1] -= 1.0
     tp_defect = np.maximum.reduce(np.abs(tp), axis=-1, initial=0.0)
     min_eig = _eigen(np.linalg.eigvalsh, part)[..., 0]
     fields = [herm, arr.trace(axis1=-2, axis2=-1).real, tp_defect, min_eig]
     if not lead:
-        fields = [f.item() for f in fields]
+        fields = [float(f) for f in fields]  # exact, and cheaper than .item() on a numpy scalar
     herm, _, tp_defect, min_eig = fields
     verdict = _VERDICTS[2 * ((herm <= tol) & (min_eig >= -tol)) + (tp_defect <= tol)]
-    return CptpReport(*fields, verdict if lead else verdict.item())
+    return CptpReport(*fields, verdict if lead else str(verdict))

@@ -7,7 +7,8 @@ The input checks every module shares live here too, one of each kind:
 as_square (a square matrix or a stack of them), as_length (a trailing axis
 of fixed length), require_range ([0, 1]) and require_hermitian, each run
 once at a public entry; the two shape checks alone decide an input's size
-and whether it may be a stack. _hermitian_pass is the one Hermiticity pass:
+and whether it may be a stack, and return C-ordered arrays, so a stack of any
+strides gives its elements' bits. _hermitian_pass is the one Hermiticity pass:
 one adjoint gives both the defect and the Hermitian part (m + m^dagger) / 2.
 """
 
@@ -43,8 +44,8 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
 
 
 def as_square(m, what: str = "matrix", n: int | None = None, one: bool = False) -> np.ndarray:
-    """Complex array of shape (..., n, n): one square matrix or, unless one, a stack of them; n None takes any size."""
-    arr = np.asarray(m, dtype=complex)
+    """C-ordered complex array of shape (..., n, n): one square matrix or, unless one, a stack; n None: any size."""
+    arr = np.asarray(m, dtype=complex, order="C")
     shape = arr.shape
     if len(shape) < 2 or shape[-1] != shape[-2] or n is not None and shape[-1] != n or one and len(shape) > 2:
         size = "square" if n is None else f"{n} x {n}"
@@ -53,8 +54,8 @@ def as_square(m, what: str = "matrix", n: int | None = None, one: bool = False) 
 
 
 def as_length(v, n: int, what: str = "probabilities", one: bool = False) -> np.ndarray:
-    """Float array of shape (..., n): one length-n vector or, unless one, a stack of them."""
-    arr = np.asarray(v, dtype=float)
+    """C-ordered float array of shape (..., n): one length-n vector or, unless one, a stack of them."""
+    arr = np.asarray(v, dtype=float, order="C")
     if arr.shape[-1:] != (n,) or one and arr.ndim > 1:
         raise ValueError(f"expected {'one vector of ' if one else ''}{n} {what}, got shape {arr.shape}")
     return arr

@@ -26,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import as_length, as_square, require_hermitian, require_range
+from .matcore import _non_finite, as_length, as_square, require_hermitian, require_range
 
 __all__ = [
     "N_PROBS",
@@ -141,8 +141,9 @@ def _require_density(rho, dim: int):
     arr = as_square(rho, "density matrix", dim, one=True)
     part = require_hermitian(arr, _DENSITY_TOL, "density matrix")
     trace_err = abs(arr.trace() - 1.0)
-    if not trace_err <= _DENSITY_TOL:
-        raise ValueError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
+    if not trace_err <= _DENSITY_TOL:  # entries that overflow the trace give inf, worded as require_hermitian does
+        text = f"density matrix trace deviates from 1 by {trace_err:.3e}"
+        raise ValueError(text) if trace_err < np.inf else _non_finite("density matrix")
     return arr, part
 
 

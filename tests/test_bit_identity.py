@@ -432,3 +432,24 @@ def test_stacked_cptp_report_is_its_single_reports_bit_for_bit():
                     want, got = getattr(single, field.name), getattr(stacked, field.name)[i].item()
                     assert describe(got) == describe(want), (len(choi), i, field.name)
         assert stacked.verdict.tolist() == ["CPTP", "CP-not-TP", last]
+
+
+def test_kraus_extraction_edge_cases_match_the_old_body():
+    """k = 0 from a zero and a sub-tolerance Choi matrix, k = 4 at full rank, and pivot ties.
+
+    The one eigenvector of a unitary channel's Choi matrix has two entries of equal modulus, at 0 and 3. The first
+    must win the pivot, so I, Z and S each give back K = U, with K[0, 0] = 1 rather than a K[1, 1] of 1.
+    """
+    rng = np.random.default_rng(1703)
+    cases = [(np.zeros((4, 4)), 0), (1e-10 * np.eye(4), 0), (choi_from_kraus(random_tp_kraus(rng, 4)), 4)]
+    unitaries = [np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 1j])]
+    for u in unitaries:
+        choi = choi_from_kraus([u])
+        top = np.abs(np.linalg.eigh(choi)[1][:, -1])
+        assert top[0] == top[3] == top.max(), top  # a tie
+        cases.append((choi, 1))
+    for choi, rank in cases:
+        assert_same([(kraus_from_choi, channelcore.kraus_from_choi)], choi)
+        assert len(channelcore.kraus_from_choi(choi)) == rank
+    for u, (choi, _) in zip(unitaries, cases[3:]):
+        assert np.allclose(channelcore.kraus_from_choi(choi)[0], u, rtol=0.0, atol=1e-15)

@@ -6,9 +6,14 @@ one of their two forms, "expected a 2 x 2 Hamiltonian, got shape (3, 3)" or "exp
 probabilities, got shape (2, 15)", or the words of a check that compares two arguments. A NaN entry that a
 Hermiticity gate, the eigensolver or probs_from_choi's residue meets gets "<what> has NaN, infinite or too large
 entries". Infinite and overflowing entries are not drawn: outside validate_hamiltonian they still warn, and
-warnings are errors in this suite.
+warnings are errors in this suite; a density matrix whose trace overflows is refused in those words once its
+warning is ignored.
+
+The two shape checks return C-ordered arrays, so every call in the table that takes a stack gives each element of a
+C-ordered, Fortran-ordered, strided-view or negative-stride stack the single call's result bit for bit.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probchan as pc
+from conftest import complex_normal, random_density
 
 RHO2 = np.eye(2) / 2.0
 CHOI = np.eye(4) / 2.0
@@ -158,3 +164,97 @@ def test_every_public_callable_returns_or_refuses_in_the_shared_words(form, k, n
                 assert message is None if form == "one" else message is None or is_shape, where
             elif gate is not None and not is_shape:
                 assert message == f"{gate} has NaN, infinite or too large entries", where
+
+
+def test_an_overflowing_density_trace_is_refused_as_non_finite():
+    """The overflow warning is ignored here; the refusal that follows must be the shared non-finite one."""
+    calls = [
+        (pc.qubit_probs_from_density, np.full((2, 2), 1e308)),
+        (pc.ququart_probs_from_density, np.full((4, 4), 1e308)),
+        (lambda x: pc.tomogram(x, [0.0, 0.0, 1.0]), np.full((2, 2), 1e308)),
+    ]
+    with np.errstate(over="ignore"):
+        for call, x in calls:
+            assert refusal(call, x) == "density matrix has NaN, infinite or too large entries"
+
+
+# a random valid element of each kind a stack-taking call reads, so that a stack's elements differ
+DRAWS = {
+    "matrix": lambda rng: complex_normal(rng, (2, 2)),
+    "choi": lambda rng: 2.0 * random_density(rng, 4),
+    "probs3": lambda rng: rng.uniform(0.0, 1.0, 3),
+    "probs15": lambda rng: rng.uniform(0.0, 1.0, 15),
+    "times": lambda rng: np.array(rng.uniform(0.0, 5.0)),
+}
+
+
+def stack_taking():
+    """(name, kind, call) of every slot in CALLS whose call takes a stack of two valid inputs."""
+    entries = [(name, kind, call) for name, slots in CALLS.items() for kind, call, _ in slots]
+    return [(name, kind, call) for name, kind, call in entries if refusal(call, shaped(kind, "stack", 2)) is None]
+
+
+def test_the_stack_taking_calls_are_the_listed_ones():
+    assert {name for name, _, _ in stack_taking()} == {
+        "vec", "qubit_density_from_probs", "ququart_density_from_probs", "superop_from_choi", "choi_from_superop",
+        "verify_cptp", "probs_from_choi", "choi_from_probs", "channel_constraint_residuals",
+        "check_channel_prob_constraints", "oracle_probs",
+    }
+
+
+def layouts(stack):
+    """The stack's values as C-ordered, Fortran-ordered, strided-view and negative-stride arrays."""
+    every = (slice(None, None, 2),) * stack.ndim
+    strided = np.zeros(tuple(2 * n for n in stack.shape), stack.dtype)[every]
+    strided[...] = stack
+    back = (slice(None, None, -1),) * stack.ndim
+    negative = stack[back].copy()[back]
+    return {"C": stack, "Fortran": np.asfortranarray(stack), "strided view": strided, "negative strides": negative}
+
+
+def bits(value):
+    """An array by dtype, shape and bytes, a float by hex, a report field by field; anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, pc.CptpReport):
+        return [bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return value
+
+
+def element(result, i):
+    """Element i's part of a stacked call's result: an array's row, or each field's entry of a report."""
+    if isinstance(result, pc.CptpReport):
+        return pc.CptpReport(*(getattr(result, f.name)[i].item() for f in dataclasses.fields(result)))
+    return result[i]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_stack_of_any_layout_gives_its_elements_results_bit_for_bit(k, seed):
+    rng = np.random.default_rng(seed)
+    for name, kind, call in stack_taking():
+        elements = [DRAWS[kind](rng) for _ in range(k)]
+        singles = [call(x) for x in elements]
+        for layout, stack in layouts(np.stack(elements)).items():
+            got = call(stack)
+            if name == "check_channel_prob_constraints":  # (ok over the whole stack, residuals per element)
+                assert got[0] == all(ok for ok, _ in singles), (name, layout)
+                got, want = got[1], [residuals for _, residuals in singles]
+            else:
+                want = singles
+            for i in range(k):
+                assert bits(element(got, i)) == bits(want[i]), (name, layout, k, i)
+
+
+def test_the_gates_return_a_c_ordered_input_of_their_dtype_as_it_is():
+    rng = np.random.default_rng(1704)
+    for m in (complex_normal(rng, (4, 4)), complex_normal(rng, (3, 2, 2))):
+        assert pc.matcore.as_square(m) is m
+        fortran = pc.matcore.as_square(np.asfortranarray(m))
+        assert fortran.flags.c_contiguous and np.array_equal(fortran, m)
+    for p in (rng.uniform(0.0, 1.0, 15), rng.uniform(0.0, 1.0, (3, 15))):
+        assert pc.matcore.as_length(p, 15) is p
+        fortran = pc.matcore.as_length(np.asfortranarray(p), 15)
+        assert fortran.flags.c_contiguous and np.array_equal(fortran, p)
