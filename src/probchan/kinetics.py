@@ -12,21 +12,19 @@ depolarising channel D = I4 / 2 commutes with every h kron I2, so its
 probabilities P_STAR are a fixed point, g = -G P_STAR, and the equation
 is real about it:
 
-    dP/dt = K (P - P_STAR),    K = Im(G) = x_1 K_1 + ... + x_4 K_4,
+    dP/dt = K (P - P_STAR),    K = Im(G) = Im(A Q B),
 
-where x = (h00, h11, Re h01, -Im h01) are the coordinates of h on E00,
-E11, sigma_x, sigma_y and K_a = Im(A Q(X_a) B) are exact constants. K's
-eigenvalues are 0 and +-iw, so fixed-step classical RK4 has the exact
-flow's three-vector form, sample by sample (evolve_blocks); the exact
-solution D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) is the oracle.
+G having no real part for Hermitian h. K's eigenvalues are 0 and +-iw,
+so fixed-step classical RK4 has the exact flow's three-vector form,
+sample by sample (evolve_blocks); the exact solution
+D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) is the oracle.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PAULI_X, PAULI_Y, _non_finite, as_length, as_square, identity, require_hermitian
+from .matcore import _non_finite, as_length, as_square, identity, require_hermitian
 from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
 
 __all__ = [
@@ -79,37 +77,26 @@ def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> tuple[float, floa
     return ratio, spread
 
 
-def build_q(h) -> np.ndarray:
-    """16 x 16 matrix Q with Q vec(M) = vec([h kron I2, M]) for any 4 x 4 M."""
-    lifted = np.kron(validate_hamiltonian(h), identity(2))
+def _q(h: np.ndarray) -> np.ndarray:
+    """Q for a validate_hamiltonian result h."""
+    lifted = np.kron(h, identity(2))
     eye4 = identity(4)
     return np.kron(lifted, eye4) - np.kron(eye4, lifted.T)
 
 
-@functools.cache
-def _structure_constants() -> np.ndarray:
-    """K_a = Im(A Q(X_a) B) for X_a = E00, E11, sigma_x, sigma_y, shape (4, 15, 15), read-only.
-
-    Raises RuntimeError if any A Q(X_a) B has a real part, which would
-    take the kinetic equation off real probabilities.
-    """
-    k = build_constants()
-    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], PAULI_X, PAULI_Y])
-    full = np.stack([k.prob_matrix @ build_q(x) @ k.choi_matrix for x in basis])
-    if full.real.any():
-        raise RuntimeError("kinetic structure constants corrupt: A Q(X_a) B has a real part")
-    constants = full.imag.copy()
-    constants.setflags(write=False)
-    return constants
+def build_q(h) -> np.ndarray:
+    """16 x 16 matrix Q with Q vec(M) = vec([h kron I2, M]) for any 4 x 4 M."""
+    return _q(validate_hamiltonian(h))
 
 
 def _generator(h: np.ndarray) -> np.ndarray:
-    """sum_a x_a K_a for a validate_hamiltonian result h."""
-    return np.tensordot([h[0, 0].real, h[1, 1].real, h[0, 1].real, -h[0, 1].imag], _structure_constants(), 1)
+    """Im(A Q B) for a validate_hamiltonian result h, C-ordered: K @ z rounds differently on the strided .imag view."""
+    k = build_constants()
+    return (k.prob_matrix @ _q(h) @ k.choi_matrix).imag.copy()
 
 
 def build_generator(h) -> np.ndarray:
-    """The real 15 x 15 generator K = Im(A Q B) of dP/dt = K (P - P_STAR), as sum_a x_a K_a."""
+    """The real 15 x 15 generator K = Im(G), G = A Q B, of dP/dt = K (P - P_STAR); A Q B has no real part."""
     return _generator(validate_hamiltonian(h))
 
 
@@ -228,10 +215,13 @@ def oracle_probs(h, t) -> np.ndarray:
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:
-    """Max-norm deviation of a trajectory from the closed-form solution.
+    """Max-norm deviation of a trajectory from the identity start's closed-form solution.
 
-    Evaluates the oracle at every sample time of traj (which must have been
+    Evaluates oracle_probs at every sample time of traj (which must have been
     produced with the same Hamiltonian) and returns the largest absolute
-    componentwise difference.
+    componentwise difference. oracle_probs is the evolution channel itself,
+    the trajectory from identity_channel_probs(), so the number is an error
+    bound only for a trajectory that starts there: from any other start it
+    also measures how far that start's exact flow lies from the identity's.
     """
     return float(np.max(np.abs(traj.probs - oracle_probs(h, traj.times))))

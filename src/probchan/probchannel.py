@@ -67,13 +67,15 @@ def channel_constraint_residuals(probs) -> np.ndarray:
     return np.abs(p[..., [0, 3, 4]] + p[..., [2, 13, 14]] - [1.5, 1.0, 1.0])
 
 
-def check_channel_prob_constraints(probs, tol: float = 1e-9) -> tuple[bool, np.ndarray]:
-    """Whether a probability vector describes a trace-preserving channel.
+def check_channel_prob_constraints(probs, tol: float = 1e-9) -> tuple[bool | np.ndarray, np.ndarray]:
+    """Whether a probability vector, or each row of a (..., 15) stack, describes a trace-preserving channel.
 
-    Returns (ok, residuals); ok means every residual is at most tol.
+    Returns (ok, residuals); ok means every residual of the vector is at most tol, a Python bool for one
+    vector and a bool array over the leading axes of a stack.
     """
     residuals = channel_constraint_residuals(probs)
-    return bool(np.all(residuals <= tol)), residuals
+    ok = np.logical_and.reduce(residuals <= tol, axis=-1)
+    return (ok if residuals.ndim > 1 else bool(ok)), residuals
 
 
 def identity_channel_probs() -> np.ndarray:

@@ -130,8 +130,7 @@ def test_one_eigensolve_per_oracle_probs_call(eigensolves):
 
 @pytest.fixture
 def gates(monkeypatch):
-    """One entry per require_hermitian call, wherever a probchan module imported it; the kinetic constants are warm."""
-    kinetics._structure_constants()
+    """One entry per require_hermitian call, wherever a probchan module imported it."""
     calls = []
     gate = matcore.require_hermitian
 

@@ -187,6 +187,17 @@ def test_constraint_residuals_examples():
     assert ok
 
 
+def test_constraint_check_answers_per_element_of_a_stack():
+    good, bad = identity_channel_probs(), np.full(15, 0.5)
+    ok, r = check_channel_prob_constraints(np.stack([good, bad]))
+    assert ok.dtype == bool and ok.tolist() == [True, False]
+    assert np.array_equal(r, [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    ok, r = check_channel_prob_constraints(np.stack([[good, bad, bad], [bad, good, good]]))
+    assert ok.tolist() == [[True, False, False], [False, True, True]] and r.shape == (2, 3, 3)
+    assert check_channel_prob_constraints(np.full((2, 15), np.nan))[0].tolist() == [False, False]
+    assert [type(check_channel_prob_constraints(p)[0]) for p in (good, bad)] == [bool, bool]
+
+
 def test_residuals_detect_trace_map_defects():
     rng = np.random.default_rng(55)
     for _ in range(100):

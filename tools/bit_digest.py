@@ -1,11 +1,13 @@
 """One sha256 per benchmark workload over everything its operations return or print, to show that a change to
-probchan keeps its outputs bit for bit. Run from the root of a probchan checkout:
+probchan keeps its outputs bit for bit:
 
-    python3 tools/bit_digest.py
+    python3 tools/bit_digest.py [CHECKOUT]
 
-It builds the channel-audit operations and the cli-small requests of seeds 1-3 from perfbench/workloads.py, in a
-temporary directory, and runs each once, untimed and unjudged. perfbench is only read: no bytecode is written
-there. A digest covers, in operation order:
+It digests the probchan of CHECKOUT, the root of a probchan checkout, by default the one holding this tool, so one
+copy of the tool can digest two trees. It builds the evolve-long runs, the channel-audit operations and the
+cli-small requests of seeds 1-3 from this tool's perfbench/workloads.py, in a temporary directory, and runs each
+once, untimed and unjudged. perfbench is only read: no bytecode is written there. A digest covers, in operation
+order:
 
 * arrays by dtype, shape and bytes, floats by float.hex, CptpReport fields, strings, bools and ints;
 * an exception a call raises, by type and message, and every warning it raises, by category and message;
@@ -15,6 +17,7 @@ The temporary directory's path is replaced by a fixed token wherever it appears,
 print the same digests. Run it in a checkout of each commit and compare the lines.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -81,7 +84,7 @@ def cli_outcome(op):
     return code, out.getvalue(), err.getvalue(), written
 
 
-OUTCOME = {"channel-audit": library_outcome, "cli-small": cli_outcome}
+OUTCOME = {"evolve-long": cli_outcome, "channel-audit": library_outcome, "cli-small": cli_outcome}
 
 
 def digest(name, probchan):
@@ -100,7 +103,12 @@ def digest(name, probchan):
 
 
 def main():
-    probchan = run.import_probchan(run.checkout_root(ROOT))
+    parser = argparse.ArgumentParser(description="One sha256 per benchmark workload over probchan's outputs.")
+    parser.add_argument("checkout", nargs="?", default=ROOT, help="root of the probchan checkout to digest")
+    try:
+        probchan = run.import_probchan(run.checkout_root(os.path.abspath(parser.parse_args().checkout)))
+    except run.NotACheckout as exc:
+        parser.error(str(exc))
     for name in OUTCOME:
         count, hexdigest = digest(name, probchan)
         print(f"{name} {count} ops sha256 {hexdigest}")
