@@ -281,23 +281,22 @@ def _trajectory_csv(blocks, h):
 
     With a Hamiltonian h (not None) that has passed kinetics.validate_hamiltonian,
     each block gains the columns o1..o15 of the oracle at its times, and a last
-    line gives max_dev, the largest |p - o| over all blocks. The oracle's one
-    eigendecomposition is made once per run; each block evaluates its three
-    15-vectors at the block's times.
+    line gives max_dev, the largest |p - o| over all blocks. The oracle, with its
+    one eigendecomposition, is built once per run and called at each block's times.
     """
     names = ["t"] + [f"p{i}" for i in range(1, 16)] + ([] if h is None else [f"o{i}" for i in range(1, 16)])
     yield ",".join(names) + "\n"
-    parts = None if h is None else kinetics._spectral_parts(h)
+    oracle = None if h is None else kinetics._oracle(h)
     max_dev = 0.0
     for times, probs in blocks:
         table = np.empty((len(times), len(names)))
         table[:, 0] = times
         table[:, 1:16] = probs
-        if parts is not None:
-            table[:, 16:] = kinetics._oracle_at(parts, times)
+        if oracle is not None:
+            table[:, 16:] = oracle(times)
             max_dev = np.maximum(max_dev, np.max(np.abs(probs - table[:, 16:])))
         yield _csv_text(table)
-    if parts is not None:
+    if oracle is not None:
         yield "# max_dev=" + _fmt(max_dev) + "\n"
 
 

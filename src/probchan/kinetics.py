@@ -15,9 +15,9 @@ is real about it:
     dP/dt = K (P - P_STAR),    K = Im(G) = Im(A Q B),
 
 G having no real part for Hermitian h. K's eigenvalues are 0 and +-iw,
-so fixed-step classical RK4 has the exact flow's three-vector form,
-sample by sample (evolve_blocks); the exact solution
-D(t) = vec(U) vec(U)^dagger with U = exp(-i h t) is the oracle.
+so fixed-step classical RK4 has the exact flow's three-vector form
+sample by sample, and _rows writes it for both evolve_blocks and the
+oracle, the exact D(t) = vec(U) vec(U)^dagger with U = exp(-i h t).
 """
 
 from dataclasses import dataclass
@@ -61,8 +61,8 @@ def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> tuple[float, floa
     """(t_max / dt, w = l_max - l_min), once the time grid is valid and RK4 is stable on it.
 
     t_max is positive and finite, 0 < dt <= t_max and the ratio is at most MAX_STEPS. h has passed
-    validate_hamiltonian; K has eigenvalues 0 and +-iw, and RK4's amplification |R(iy)| exceeds 1 exactly
-    when y > 2 sqrt(2): a larger dt w diverges.
+    validate_hamiltonian, and w must be finite too; K has eigenvalues 0 and +-iw, and RK4's amplification
+    |R(iy)| exceeds 1 exactly when y > 2 sqrt(2): a larger dt w diverges.
     """
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be a positive finite number")
@@ -71,7 +71,10 @@ def check_time_grid(h: np.ndarray, t_max: float, dt: float) -> tuple[float, floa
     ratio = t_max / dt
     if not ratio <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {ratio!r} exceeds {MAX_STEPS} steps")
-    spread = float(np.hypot(h[0, 0].real - h[1, 1].real, 2.0 * abs(h[0, 1])))
+    with np.errstate(over="ignore"):  # a spread past the largest double is refused, not warned of
+        spread = float(np.hypot(h[0, 0].real - h[1, 1].real, 2.0 * abs(h[0, 1])))
+    if not spread < np.inf:
+        raise _non_finite("Hamiltonian")
     if not dt * spread <= 2.0 * 2.0**0.5:
         raise ValueError(f"dt * (l_max - l_min) = {dt * spread!r} exceeds 2 sqrt(2): the RK4 steps would diverge")
     return ratio, spread
@@ -162,9 +165,14 @@ def evolve_blocks(h, p0, t_max: float, dt: float = 1e-3):
                 times[-1] = t_max
                 if n > n_whole + 1:
                     r[-1] *= last
-            yield times, p + (r.real - 1.0)[:, None] * c + r.imag[:, None] * s
+            yield times, _rows(p, r.real - 1.0, r.imag, c, s)
 
     return blocks()
+
+
+def _rows(base, x, y, c, s) -> np.ndarray:
+    """K's three-vector form base + x c + y s at scalars x and y, shape (15,), or at 1-D arrays of n, (n, 15)."""
+    return base + x[..., None] * c + y[..., None] * s
 
 
 def _stability(y: float) -> complex:
@@ -182,36 +190,34 @@ def evolve_probs(h, p0, t_max: float, dt: float = 1e-3) -> Trajectory:
     return Trajectory(times=np.concatenate(times), probs=np.concatenate(probs))
 
 
-def _spectral_parts(h):
-    """(m, c, s, w) of the oracle m + cos(w t) c + sin(w t) s, from one eigh of h, a validate_hamiltonian result.
+def _oracle(h):
+    """The identity start's rows m + cos(w t) c + sin(w t) s as a function of t, taking t as oracle_probs does.
 
-    The eigh gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With Y = vec(P_1) vec(P_0)^dagger,
-    D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is the probability vector
-    of the sum and c + i s = 2 prob_matrix vec(Y). m, c and s are contiguous 15-vectors.
+    One eigh of h, a validate_hamiltonian result, gives h = l_0 P_0 + l_1 P_1, l_0 <= l_1, w = l_1 - l_0. With
+    Y = vec(P_1) vec(P_0)^dagger, D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is
+    the probability vector of the sum and c + i s = 2 prob_matrix vec(Y).
     """
     vals, vecs = np.linalg.eigh(h)
     v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
     m = probs_from_choi(v.T @ v.conj())
     cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))
-    return m, np.ascontiguousarray(cs.real), np.ascontiguousarray(cs.imag), vals[1] - vals[0]
 
+    def rows(t) -> np.ndarray:
+        phase = (vals[1] - vals[0]) * np.asarray(t, dtype=float)
+        return _rows(m, np.cos(phase), np.sin(phase), cs.real, cs.imag)
 
-def _oracle_at(parts, t) -> np.ndarray:
-    """The oracle rows of _spectral_parts' (m, c, s, w) at a time, shape (15,), or at a 1-D array of n times, (n, 15)."""
-    m, c, s, w = parts
-    phase = w * np.asarray(t, dtype=float)
-    return m + np.cos(phase)[..., None] * c + np.sin(phase)[..., None] * s
+    return rows
 
 
 def oracle_probs(h, t) -> np.ndarray:
     """Exact probabilities of D(t) = vec(U) vec(U)^dagger, U = exp(-i h t), as m + cos(w t) c + sin(w t) s.
 
-    The three 15-vectors and w come from one gate and one eigh of h per call (_spectral_parts); a caller
-    evaluating many time grids under one gated h builds them once and evaluates them per grid, as the CLI does.
+    The three 15-vectors and w come from one gate and one eigh of h per call (_oracle); a caller evaluating
+    many time grids under one gated h builds _oracle(h) once and calls it per grid, as the CLI does.
     A row depends on its own time only, so any split of the times gives the same bits. h is 2 x 2 and
     Hermitian within 1e-12. t is a time, giving shape (15,), or a 1-D array of n times, giving (n, 15).
     """
-    return _oracle_at(_spectral_parts(validate_hamiltonian(h)), t)
+    return _oracle(validate_hamiltonian(h))(t)
 
 
 def compare_to_oracle(h, traj: Trajectory) -> float:

@@ -13,9 +13,8 @@ compatibility identities
     prob_matrix . choi_matrix = I_15
     prob_matrix . choi_offset + prob_offset = 0
 
-hold exactly in floating point; build_constants refuses to hand out
-constants that fail them. Trace preservation of the channel is equivalent
-to three scalar constraints on the probabilities:
+hold exactly in floating point, as the tests check. Trace preservation of
+the channel is equivalent to three scalar constraints on the probabilities:
 
     p1 + p3 = 3/2,    p4 + p14 = 1,    p5 + p15 = 1   (1-based).
 """

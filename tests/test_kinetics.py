@@ -451,9 +451,14 @@ def test_non_finite_or_overflowing_hamiltonian_is_refused_without_a_warning():
                 for entry in entries:
                     with pytest.raises(ValueError, match="^Hamiltonian has NaN, infinite or too large entries$"):
                         entry(h)
-            # entries whose Hermitian part stays finite pass unchanged
+            # entries whose Hermitian part stays finite pass unchanged, but an eigenvalue spread past the largest
+            # double (about 2.3e308 here) is refused as non-finite before the stability test
             big = np.array([[8e307, 8e307j], [-8e307j, -8e307]])
             assert np.array_equal(validate_hamiltonian(big), big)
+            with pytest.raises(ValueError, match="^Hamiltonian has NaN, infinite or too large entries$"):
+                evolve_probs(big, p0, 1e-305, 1e-310)
+            traj = evolve_probs(big / 4, p0, 1e-305, 1e-310)
+            assert np.all(np.isfinite(traj.probs)) and traj.times[-1] == 1e-305
 
 
 def test_oracle_gates_the_hamiltonian_once(monkeypatch):
