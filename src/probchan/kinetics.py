@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _non_finite, as_length, as_square, identity, require_hermitian
-from .probchannel import N_PROBS, build_constants, check_channel_prob_constraints, probs_from_choi
+from .probchannel import N_PROBS, affine_probs, build_constants, check_channel_prob_constraints
 
 __all__ = [
     "MAX_STEPS",
@@ -43,7 +43,7 @@ __all__ = [
 MAX_STEPS = 1_000_000  # largest t_max / dt; checked before anything is allocated
 _BLOCK = 256  # samples per evolve_blocks block; cli formats one block per _csv_text call, ~10 kB of temporaries a row
 
-P_STAR = probs_from_choi(identity(4) / 2.0)  # the completely depolarising channel: 3/4 three times, then 1/2
+P_STAR = affine_probs(identity(4) / 2.0).real.copy()  # the completely depolarising channel: 3/4 three times, then 1/2
 P_STAR.setflags(write=False)
 
 
@@ -199,7 +199,7 @@ def _oracle(h):
     """
     vals, vecs = np.linalg.eigh(h)
     v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
-    m = probs_from_choi(v.T @ v.conj())
+    m = affine_probs(v.T @ v.conj()).real
     cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))
 
     def rows(t) -> np.ndarray:

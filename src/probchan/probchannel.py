@@ -17,12 +17,15 @@ hold exactly in floating point, as the tests check. Trace preservation of
 the channel is equivalent to three scalar constraints on the probabilities:
 
     p1 + p3 = 3/2,    p4 + p14 = 1,    p5 + p15 = 1   (1-based).
+
+The map to P is real exactly on Hermitian D, so probs_from_choi passes its
+input through the Hermiticity gate of kraus_from_choi, 1e-9 entrywise.
 """
 
 import numpy as np
 
-from .matcore import _non_finite, as_length, as_square, identity, vec
-from .stateprob import N_PROBS, AffineConstants, affine_choi, affine_probs, build_constants
+from .matcore import as_length, as_square, identity, require_hermitian, vec
+from .stateprob import N_PROBS, affine_choi, affine_probs, build_constants
 
 __all__ = [
     "probs_from_choi",
@@ -36,18 +39,12 @@ __all__ = [
 def probs_from_choi(choi) -> np.ndarray:
     """Probability vector of a 4 x 4 dynamical matrix, or one per matrix of a (..., 4, 4) stack.
 
-    The affine image is complex in general; its imaginary part must vanish
-    within imag_tol = 1e-9 (it does exactly for Hermitian input), otherwise
-    ValueError, and a non-finite entry makes it NaN. The real part is
-    returned unclipped.
+    The input must be Hermitian within 1e-9 entrywise, the gate and tolerance of kraus_from_choi, otherwise
+    ValueError; the affine image of a Hermitian matrix is real, and its real part is returned unclipped.
     """
-    imag_tol = 1e-9
-    raw = affine_probs(as_square(choi, "Choi matrix", 4))
-    residue = np.maximum.reduce(np.abs(raw.imag), axis=None, initial=0.0)
-    if not residue <= imag_tol:
-        text = f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian"
-        raise ValueError(text) if residue > imag_tol else _non_finite("Choi matrix")
-    return raw.real.copy()
+    arr = as_square(choi, "Choi matrix", 4)
+    require_hermitian(arr, 1e-9, "Choi matrix")
+    return affine_probs(arr).real.copy()
 
 
 def choi_from_probs(probs) -> np.ndarray:
@@ -80,4 +77,4 @@ def check_channel_prob_constraints(probs, tol: float = 1e-9) -> tuple[bool | np.
 def identity_channel_probs() -> np.ndarray:
     """Probability vector of the identity channel, D = vec(I) vec(I)^dagger: p1 = p2 = p8 = 1, rest 1/2."""
     v = vec(identity(2))
-    return probs_from_choi(np.outer(v, v.conj()))
+    return affine_probs(np.outer(v, v.conj())).real.copy()

@@ -7,9 +7,11 @@ bytes, every CptpReport field by type and float.hex, or the same exception type 
 errors in this suite, so the first floating-point warning a call raises is compared as an exception too.
 Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi matrices, d = 0 and 0-d Kraus
 sets, the ValueError in place of verify_cptp's eigensolver error, the shape refusals of as_square and as_length,
-which decide every input's size and whether it may be a stack, and the one message for NaN and infinite entries
-from the Hermiticity gate, the eigensolver and probs_from_choi's residue, and verify_cptp's refusal of every NaN
-entry, which its eigensolver returned on at (0, 0) and (3, 3).
+which decide every input's size and whether it may be a stack, the one message for NaN and infinite entries
+from the Hermiticity gate and the eigensolver, verify_cptp's refusal of every NaN entry, which its eigensolver
+returned on at (0, 0) and (3, 3), and probs_from_choi's refusal of a non-Hermitian matrix by kraus_from_choi's
+gate, 1e-9 entrywise, in place of its old rule on the imaginary part of the probabilities, which could not see
+Im D00.
 """
 
 import dataclasses
@@ -172,14 +174,7 @@ def affine_choi(p: np.ndarray) -> np.ndarray:
 
 
 def probs_from_choi(choi) -> np.ndarray:
-    imag_tol = 1e-9
-    raw = affine_probs(as_square(choi, "Choi matrix", 4))
-    residue = np.abs(raw.imag).max(initial=0.0)
-    if np.isnan(residue):
-        raise non_finite("Choi matrix")
-    if not residue <= imag_tol:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds {imag_tol:.3e}; input is far from Hermitian")
-    return raw.real.copy()
+    return affine_probs(require_hermitian(as_square(choi, "Choi matrix", 4), 1e-9, "Choi matrix")).real.copy()
 
 
 def choi_from_probs(probs) -> np.ndarray:

@@ -191,6 +191,12 @@ def test_kraus_from_choi_damping_rank_two():
     assert np.max(np.abs(back - np.diag([1.0, 1.0, 0.0, 0.0]))) < 1e-12
 
 
+def test_kraus_from_choi_drops_an_eigenvalue_at_tol():
+    choi = np.diag([1.0, 1e-9, 0.0, 0.0])
+    assert np.linalg.eigvalsh(choi)[2] == 1e-9  # eigh gives the double 1e-9 itself
+    assert len(kraus_from_choi(choi)) == 1
+
+
 def test_kraus_from_choi_rejects_non_cp():
     with pytest.raises(ValueError):
         kraus_from_choi(swap_matrix())
@@ -322,7 +328,7 @@ def test_finite_overflowing_choi_raises_value_error():
                 fn(arg)
             assert not isinstance(refused.value, np.linalg.LinAlgError)
         # NaN and infinite entries get the same one message, whichever check meets them first: the NaN check in
-        # verify_cptp, the Hermiticity gate in kraus_from_choi, the imaginary residue in probs_from_choi
+        # verify_cptp, the Hermiticity gate in kraus_from_choi and probs_from_choi
         for bad in (np.nan, np.inf):
             for fn in (verify_cptp, kraus_from_choi, probs_from_choi):
                 with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:

@@ -351,6 +351,16 @@ def test_exit_codes_on_invalid_values(tmp_path):
         assert run_cli(["channel", *args, "--tolerance", tolerance]).returncode == 1
 
 
+def test_channel_to_probs_refuses_an_imaginary_d00(tmp_path):
+    """Im D00 moves no probability, yet D is not Hermitian: exit 2 and no output, as channel check's defect says."""
+    choi = np.eye(4, dtype=complex) / 2.0
+    choi[0, 0] += 1j
+    out = tmp_path / "probs.json"
+    result = run_cli(["channel", "to-probs", write(tmp_path, "d00.json", matrix_doc(choi)), "-o", str(out)])
+    assert (result.returncode, result.stdout) == (2, "") and not out.exists()
+    assert result.stderr == "error: Choi matrix is not Hermitian: defect 2.000e+00 exceeds 1.000e-09\n"
+
+
 def test_evolve_exit_codes(tmp_path):
     good_h = write(tmp_path, "h.json", matrix_doc(np.diag([1.0, -1.0])))
     bad_h = write(tmp_path, "bh.json", matrix_doc(np.array([[0.0, 1.0], [0.0, 0.0]])))
@@ -500,6 +510,20 @@ def assert_table_matches(table, what):
 def test_csv_text_is_percent_formatting(cols):
     for name, cells in csv_corpus().items():
         assert_csv_matches(cells, cols, name)
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
+def test_csv_text_exponent_survives_log10_one_ulp_off(monkeypatch, toward):
+    """numpy's log10 rounds differently under different CPU dispatch targets, so _csv_text corrects floor(log10).
+
+    With log10 one ulp low, 0.1 lands on hi == 1e17 with lo > 0, and the doubles just above 10 to 1e16 land above
+    1e17: the fix-up must move E by one for each. Cells are each power of ten from 1e-2 to 1e16 and its neighbours.
+    """
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    powers = 10.0 ** np.arange(-2, 17)
+    for x in np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]):
+        assert cli._csv_text(np.array([[x]])) == "%.17g\n" % x
 
 
 def test_csv_corpus_hits_every_layout_code():

@@ -4,10 +4,9 @@ wherever it comes from.
 matcore's as_square and as_length alone decide an input's size and whether it may be a stack, so a shape refusal is
 one of their two forms, "expected a 2 x 2 Hamiltonian, got shape (3, 3)" or "expected one vector of 15 initial
 probabilities, got shape (2, 15)", or the words of a check that compares two arguments. A NaN entry that a
-Hermiticity gate, the eigensolver or probs_from_choi's residue meets gets "<what> has NaN, infinite or too large
-entries". Infinite and overflowing entries are not drawn: outside validate_hamiltonian they still warn, and
-warnings are errors in this suite; a density matrix whose trace overflows is refused in those words once its
-warning is ignored.
+Hermiticity gate or the eigensolver meets gets "<what> has NaN, infinite or too large entries". Infinite and
+overflowing entries are not drawn: outside validate_hamiltonian they still warn, and warnings are errors in this
+suite; a density matrix whose trace overflows is refused in those words once its warning is ignored.
 
 The two shape checks return C-ordered arrays, so every call in the table that takes a stack gives each element of a
 C-ordered, Fortran-ordered, strided-view or negative-stride stack the single call's result bit for bit.

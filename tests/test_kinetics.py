@@ -245,6 +245,21 @@ def test_evolve_rejects_step_counts_over_the_cap():
                 evolve(PAULI_Z, p0, t_max, dt)
 
 
+def test_evolve_accepts_exactly_max_steps():
+    """t_max / dt = 1e6 exactly is accepted, one step more is refused, and an infinite t_max has its own words.
+
+    evolve_blocks checks everything in the call and computes no block until one is asked for, so the edge is cheap.
+    """
+    p0 = identity_channel_probs()
+    for t_max, dt in ((1e6, 1.0), (1000.0, 1e-3), (1.0, 1e-6)):
+        assert t_max / dt == MAX_STEPS
+        evolve_blocks(PAULI_Z, p0, t_max, dt)
+    with pytest.raises(ValueError, match=r"^t_max / dt = 1000001\.0 exceeds 1000000 steps$"):
+        evolve_blocks(PAULI_Z, p0, 1e6 + 1, 1.0)
+    with pytest.raises(ValueError, match="^t_max must be a positive finite number$"):
+        evolve_blocks(PAULI_Z, p0, np.inf, 1.0)
+
+
 def test_evolve_refuses_steps_where_rk4_diverges():
     # K has eigenvalues 0 and +-i (l_max - l_min); |R(iy)| of RK4 exceeds 1 exactly when y > 2 sqrt(2)
     limit = 2.0 * np.sqrt(2.0)

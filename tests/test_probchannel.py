@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from probchan.channelcore import choi_from_kraus, verify_cptp
+from probchan.channelcore import choi_from_kraus, kraus_from_choi, verify_cptp
 from probchan.matcore import identity
 from probchan.probchannel import (
     N_PROBS,
@@ -13,7 +13,7 @@ from probchan.probchannel import (
     probs_from_choi,
 )
 from probchan.stateprob import ququart_probs_from_density
-from conftest import complex_normal, random_channel_probs, random_tp_kraus
+from conftest import random_channel_probs, random_tp_kraus
 
 
 def maximally_entangled_projector():
@@ -129,6 +129,30 @@ def test_probs_from_choi_rejects_imaginary_residue():
         probs_from_choi(bad)
     with pytest.raises(ValueError):
         probs_from_choi(np.eye(3))
+
+
+def test_one_hermiticity_gate_at_every_entry():
+    """probs_from_choi and kraus_from_choi refuse in the same words exactly the defects above 1e-9, at any entry.
+
+    A full-rank CPTP matrix, made exactly Hermitian, is shifted at one of its 16 entries to a defect of 0.9e-9 or
+    1.1e-9: by a real number off the diagonal, by i times half the defect on it. An imaginary D00 leaves every
+    probability's imaginary part at 0, so only the gate on D itself sees it.
+    """
+    c = choi_from_kraus(random_tp_kraus(np.random.default_rng(3601), 4))
+    choi = (c + c.conj().T) / 2.0
+    assert verify_cptp(choi).hermiticity_defect == 0.0 and np.linalg.eigvalsh(choi)[0] > 1e-3
+    message = r"^Choi matrix is not Hermitian: defect 1\.100e-09 exceeds 1\.000e-09$"
+    for at in np.ndindex(4, 4):
+        for defect, refused in ((0.9e-9, False), (1.1e-9, True)):
+            shifted = choi.copy()
+            shifted[at] += 0.5j * defect if at[0] == at[1] else defect
+            assert (verify_cptp(shifted).hermiticity_defect > 1e-9) == refused, at
+            for fn in (probs_from_choi, kraus_from_choi):
+                if refused:
+                    with pytest.raises(ValueError, match=message):
+                        fn(shifted)
+                else:
+                    fn(shifted)
 
 
 def test_stacked_calls_match_per_element_calls():

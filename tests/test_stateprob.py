@@ -79,6 +79,11 @@ def test_bloch_check_examples():
     assert abs(margin - 0.25) < 1e-15
 
 
+def test_bloch_check_slack_is_1e_12():
+    assert qubit_bloch_check([1.0, 0.5, 0.5]) == (True, 0.25)
+    assert qubit_bloch_check([0.5 + np.sqrt(0.25 + 1.2e-12), 0.5, 0.5]) == (False, 0.25000000000119993)
+
+
 def test_bloch_check_agrees_with_eigenvalues():
     rng = np.random.default_rng(22)
     for _ in range(300):
@@ -139,6 +144,13 @@ def test_tomogram_rejects_bad_inputs():
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
     with pytest.raises(ValueError):
         tomogram(not_psd, [0.0, 0.0, 1.0])
+
+
+def test_tomogram_unit_norm_tolerance_is_1e_12():
+    rho = np.eye(2) / 2.0
+    with pytest.raises(ValueError, match=r"^direction must be a unit vector, norm is 1\.0000000000012$"):
+        tomogram(rho, [1.0 + 1.2e-12, 0.0, 0.0])
+    assert tomogram(rho, [1.0 + 9e-13, 0.0, 0.0]) == 0.5
 
 
 def test_ququart_bell_state():

@@ -15,6 +15,10 @@ order:
 
 The temporary directory's path is replaced by a fixed token wherever it appears, so two checkouts of the same code
 print the same digests. Run it in a checkout of each commit and compare the lines.
+
+numpy's log10, sin, cos and exp round differently under different CPU dispatch targets (NPY_DISABLE_CPU_FEATURES
+moves every digest), so a first line names the numpy and the enabled dispatch targets, or baseline: digests compare
+only under the same two.
 """
 
 import argparse
@@ -102,6 +106,14 @@ def digest(name, probchan):
     return count, sha.hexdigest()
 
 
+def numpy_line():
+    """'# numpy <version>, dispatch <the dispatch targets enabled on this CPU, or baseline>' (numpy 2)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    enabled = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    return f"# numpy {np.__version__}, dispatch {enabled or 'baseline'}"
+
+
 def main():
     parser = argparse.ArgumentParser(description="One sha256 per benchmark workload over probchan's outputs.")
     parser.add_argument("checkout", nargs="?", default=ROOT, help="root of the probchan checkout to digest")
@@ -109,6 +121,7 @@ def main():
         probchan = run.import_probchan(run.checkout_root(os.path.abspath(parser.parse_args().checkout)))
     except run.NotACheckout as exc:
         parser.error(str(exc))
+    print(numpy_line())
     for name in OUTCOME:
         count, hexdigest = digest(name, probchan)
         print(f"{name} {count} ops sha256 {hexdigest}")
