@@ -154,22 +154,26 @@ def _report_text(report: channelcore.CptpReport) -> str:
 
 
 # Every evolve CSV cell is exactly the %.17g text of its double. Cells with
-# 1e-2 <= |x| < 1e17, which %g prints in fixed notation, are laid out from
-# their 17 significant digits D = round-half-even(|x| * 10**(16 - E)), with
-# E = floor(log10 |x|), all in numpy. D is exact: 10**k is an exact double for
-# k <= 22, and Dekker's TwoProduct (Numer. Math. 18, 1971) gives hi + lo equal
-# to |x| * 10**k with no rounding. The digits written are F's 18: D and one
-# 0 (F = 10 D), or at E = -2 the 0 of "0.0" and D (F = D). Each cell becomes
-# seven little-endian 4-byte words of NUL-padded text: the separator that
-# leads it ("," or a newline, none for the first cell) with the sign and,
-# when E < 0, "0."; then F's six 3-digit groups, with the point after F's
-# digit E when E >= 0 and trailing zeros settled. Every other cell (0, -0,
-# NaN, inf, |x| < 1e-2, |x| >= 1e17) fills its last 24 bytes from one batch
-# of %24.17g.
+# 1e-2 <= |x| < 1e17, which %g prints in fixed notation, are laid out from their
+# 17 significant digits D = round-half-even(|x| * 10**(16 - E)), all in numpy.
+# E, with 10**E <= |x| < 10**(E + 1), is looked up exactly in _DECADES: the
+# doubles 1e-2 and 1e-1 lie just above 1/100 and 1/10, the others are exact. D
+# is exact too: 10**k is an exact double for k <= 22, and Dekker's TwoProduct
+# (Numer. Math. 18, 1971) gives hi + lo equal to |x| * 10**k with no rounding. D
+# lies in [1e16, 1e17): 17 digits tell every double apart (Matula, CACM 11(1),
+# 1968), so no double below 10**(E + 1) rounds up to it where that is a double,
+# and the double below 1/10 is 8e-18 under it. The digits written are F's 18: D
+# and one 0 (F = 10 D), or at E = -2 the 0 of "0.0" and D (F = D). Each cell
+# becomes seven little-endian 4-byte words of NUL-padded text: the separator
+# that leads it ("," or a newline, none for the first cell) with the sign and,
+# when E < 0, "0."; then F's six 3-digit groups, with the point after F's digit
+# E when E >= 0 and trailing zeros settled. Every other cell (0, -0, NaN, inf,
+# |x| < 1e-2, |x| >= 1e17) fills its last 24 bytes from one batch of %24.17g.
 
 _POW10 = 10.0 ** np.arange(23)
 _SPLITTER = 2.0**27 + 1.0  # Veltkamp: splits a double into two 26-bit halves
 _POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_DECADES = np.concatenate([1.0 / _POW10[2:0:-1], _POW10[:17]])  # 1e-2, 1e-1, 1e0, ..., 1e16
 
 
 def _exact_scale(a: np.ndarray, k: np.ndarray):
@@ -238,17 +242,10 @@ def _csv_text(table: np.ndarray) -> str:
     a[slow] = 1.0
     words, codes = _csv_tables()
 
-    # E from log10, then moved by one where hi + lo leaves [1e16, 1e17)
-    e = np.clip(np.floor(np.log10(a)), -2, 16).astype(np.intp)
+    e = np.searchsorted(_DECADES, a, side="right") - 3
     hi, lo = _exact_scale(a, 16 - e)
-    if ((hi >= 1e17) | (hi <= 1e16)).any():
-        e += ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
-        hi, lo = _exact_scale(a, 16 - e)
     # hi >= 1e16 > 2**53 is an even integer, so adding rint(lo) rounds hi + lo half to even
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = d == 10**17
-    d[carry] = 10**16
-    e += carry
     d[e >= -1] *= 10  # F: D and one 0, or D alone at E = -2
 
     upper = d // 10**9

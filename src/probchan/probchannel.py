@@ -41,6 +41,8 @@ def probs_from_choi(choi) -> np.ndarray:
 
     The input must be Hermitian within 1e-9 entrywise, the gate and tolerance of kraus_from_choi, otherwise
     ValueError; the affine image of a Hermitian matrix is real, and its real part is returned unclipped.
+    The fifteen numbers fix D only with trace 2 and read no D00: choi_from_probs(probs_from_choi(D)) is D with D00
+    set to 2 - (D11 + D22 + D33). No trace is checked here; channel to-probs refuses any other, verify_cptp reports it.
     """
     arr = as_square(choi, "Choi matrix", 4)
     require_hermitian(arr, 1e-9, "Choi matrix")
@@ -48,11 +50,10 @@ def probs_from_choi(choi) -> np.ndarray:
 
 
 def choi_from_probs(probs) -> np.ndarray:
-    """Dynamical matrix from any real 15-vector, or one per row of a (..., 15) stack.
+    """Dynamical matrix of trace 2 from any finite real 15-vector, or one per row of a (..., 15) stack.
 
-    Defined for every real input (Hermitian output by construction);
-    components need not lie in [0, 1], which lets callers reconstruct from
-    slightly out-of-range numerical data.
+    Defined for every finite real input (Hermitian output by construction); components need not lie in [0, 1],
+    which lets callers reconstruct from slightly out-of-range numerical data.
     """
     return affine_choi(as_length(probs, N_PROBS))
 

@@ -445,6 +445,8 @@ def csv_corpus():
     # 1e-2, where fixed layout starts: the double and its neighbours on both sides, either sign
     up = np.nextafter(1e-2, 1.0)
     hundredth = np.array([np.nextafter(1e-2, 0.0), 1e-2, up, np.nextafter(up, 1.0)])
+    decades = np.array([float(f"1e{k}") for k in range(-2, 18)])
+    near_decades = (decades.view(np.int64)[:, None] + np.arange(-64, 65)).ravel().view(float)
     fast = rng.uniform(-10, 10, n)
     slow = np.concatenate([rng.uniform(1e-9, 1e-5, n // 2), [0.0, -0.0, np.nan, np.inf, -np.inf, 1e20, -3e17]])
     mixed = fast.copy()
@@ -462,6 +464,8 @@ def csv_corpus():
         "integers and short decimals": np.concatenate([np.arange(1000.0), np.arange(1000) / 8.0, np.arange(1000) / 1e3]),
         "edges": np.array(edges + [np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0)]),
         "1e-2 and neighbours": np.concatenate([hundredth, -hundredth]),
+        # the cells whose 17 digits come closest to rounding up to the next power of ten, or down from this one
+        "64 ulps about 1e-2 to 1e17": np.concatenate([near_decades, -near_decades]),
         "[1e-4, 1e-2)": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, -2, n),
         # E = -2 with trailing zeros in D: short decimals and dyadic fractions in [1e-2, 1e-1)
         "E = -2 short": np.concatenate(
@@ -512,15 +516,15 @@ def test_csv_text_is_percent_formatting(cols):
         assert_csv_matches(cells, cols, name)
 
 
-@pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
-def test_csv_text_exponent_survives_log10_one_ulp_off(monkeypatch, toward):
-    """numpy's log10 rounds differently under different CPU dispatch targets, so _csv_text corrects floor(log10).
-
-    With log10 one ulp low, 0.1 lands on hi == 1e17 with lo > 0, and the doubles just above 10 to 1e16 land above
-    1e17: the fix-up must move E by one for each. Cells are each power of ten from 1e-2 to 1e16 and its neighbours.
+def test_csv_text_exponent_is_exact_without_log10(monkeypatch):
+    """_csv_text looks E up among the doubles 1e-2, 1e-1, ..., 1e16 and calls no log10, whose bits move with numpy's
+    CPU dispatch. Cells are each power of ten from 1e-2 to 1e16 and its neighbours, where an E one off would show.
     """
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+
+    def log10(*args, **kwargs):
+        raise AssertionError("np.log10 called")
+
+    monkeypatch.setattr(np, "log10", log10)
     powers = 10.0 ** np.arange(-2, 17)
     for x in np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]):
         assert cli._csv_text(np.array([[x]])) == "%.17g\n" % x

@@ -12,6 +12,7 @@ from probchan.probchannel import (
     identity_channel_probs,
     probs_from_choi,
 )
+from probchan.kinetics import P_STAR
 from probchan.stateprob import ququart_probs_from_density
 from conftest import random_channel_probs, random_tp_kraus
 
@@ -120,6 +121,24 @@ def test_round_trip_probs_choi_probs():
     for _ in range(50):
         p = rng.uniform(-1.0, 2.0, size=15)
         assert np.max(np.abs(probs_from_choi(choi_from_probs(p)) - p)) < 1e-13
+
+
+def test_probs_from_choi_reads_no_d00():
+    """The fifteen probabilities fix a Hermitian D only with trace 2: the round trip keeps D's other 15 entries and
+    sets D00 to 2 - (D11 + D22 + D33), on random PSD matrices of traces from 1e-3 to 1e3. No trace is refused."""
+    for d00 in (3.0, 1e308):
+        assert probs_from_choi(np.diag([d00, 0.5, 0.5, 0.5])).tobytes() == P_STAR.tobytes()
+    rng = np.random.default_rng(53)
+    others = np.ones((4, 4), dtype=bool)
+    others[0, 0] = False
+    for _ in range(500):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        d = a @ a.conj().T
+        d *= 10.0 ** rng.uniform(-3, 3) / np.trace(d).real
+        back = choi_from_probs(probs_from_choi(d))
+        scale = max(1.0, np.max(np.abs(d)))
+        assert np.max(np.abs(back - d)[others]) <= 1e-15 * scale
+        assert abs(back[0, 0] - (2.0 - np.trace(d[1:, 1:]).real)) <= 1e-13 * scale
 
 
 def test_probs_from_choi_rejects_imaginary_residue():

@@ -16,9 +16,9 @@ order:
 The temporary directory's path is replaced by a fixed token wherever it appears, so two checkouts of the same code
 print the same digests. Run it in a checkout of each commit and compare the lines.
 
-numpy's log10, sin, cos and exp round differently under different CPU dispatch targets (NPY_DISABLE_CPU_FEATURES
-moves every digest), so a first line names the numpy and the enabled dispatch targets, or baseline: digests compare
-only under the same two.
+numpy's SIMD loops, exp, log1p and angle among them, round differently under different CPU dispatch targets
+(NPY_DISABLE_CPU_FEATURES moves every digest), so a first line names the numpy and the enabled dispatch targets, or
+baseline: digests compare only under the same two.
 """
 
 import argparse
