@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import _adjoint, _hermitian_pass, _non_finite, as_square, require_hermitian
+from .matcore import _adjoint, _eigh, _hermitian_pass, _non_finite, as_square, require_hermitian
 
 __all__ = [
     "CptpReport",
@@ -101,14 +101,6 @@ def apply_channel_via_choi(choi, rho) -> np.ndarray:
     return np.einsum("kilj,ij->kl", arr.reshape(d, d, d, d), state)
 
 
-def _eigen(solver, part):
-    """solver(part()) on a Choi matrix's Hermitian part, with _non_finite's refusal for any eigensolver LinAlgError."""
-    try:
-        return solver(part())
-    except np.linalg.LinAlgError:
-        raise _non_finite("Choi matrix") from None
-
-
 def kraus_from_choi(choi) -> list[np.ndarray]:
     """Extract a minimal Kraus set from a Hermitian PSD Choi matrix.
 
@@ -124,7 +116,7 @@ def kraus_from_choi(choi) -> list[np.ndarray]:
     tol = 1e-9
     arr = as_square(choi, "Choi matrix", one=True)
     d = _split_dim(arr.shape[-1], "Choi matrix")
-    vals, vecs = _eigen(np.linalg.eigh, require_hermitian(arr, tol, "Choi matrix"))
+    vals, vecs = _eigh(require_hermitian(arr, tol, "Choi matrix"), "Choi matrix", vectors=True)
     if vals[0] < -tol:
         raise ValueError(f"Choi matrix is not positive semidefinite: min eigenvalue {vals[0]:.3e}")
     k = np.count_nonzero(vals > tol)  # eigh's values ascend, so the kept ones are the last k, taken descending
@@ -165,12 +157,12 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm, part = _hermitian_pass(arr, (-2, -1))
     if np.logical_or.reduce(herm != herm, axis=None):  # a NaN entry, which the eigensolver may not fail on
         raise _non_finite("Choi matrix")
+    min_eig = _eigh(part, "Choi matrix")[..., 0]  # first: a part that overflows is refused before the traces warn
     lead = arr.shape[:-2]
     # each partial trace as a row of d*d entries of the trace's own new array (C-ordered input): the identity comes off
     tp = arr.reshape(lead + (d, d, d, d)).trace(axis1=-4, axis2=-2).reshape(lead + (d * d,))
     tp[..., :: d + 1] -= 1.0
     tp_defect = np.maximum.reduce(np.abs(tp), axis=-1, initial=0.0)
-    min_eig = _eigen(np.linalg.eigvalsh, part)[..., 0]
     fields = [herm, arr.trace(axis1=-2, axis2=-1).real, tp_defect, min_eig]
     if not lead:
         fields = [float(f) for f in fields]  # exact, and cheaper than .item() on a numpy scalar

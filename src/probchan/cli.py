@@ -36,7 +36,7 @@ import types
 import numpy as np
 
 from . import channelcore, kinetics, probchannel, stateprob
-from .matcore import require_range
+from .matcore import _eigh, require_range
 
 __all__ = ["main", "FormatError", "cmd_state", "cmd_channel", "cmd_evolve"]
 
@@ -342,7 +342,7 @@ def cmd_state(args) -> int:
         p = _parse_probs_doc(text, args.dim**2 - 1)
         rho = (stateprob.qubit_density_from_probs if qubit else stateprob.ququart_density_from_probs)(p)
         out = _matrix_text(rho)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])  # a qubit's is 1/2 - sqrt(Bloch margin)
+    min_eig = float(_eigh(lambda: rho, "state")[0])  # a qubit's is 1/2 - sqrt(Bloch margin)
     if min_eig < -1e-12:
         raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}; for a qubit, the Bloch restriction fails")
     _write_text(args.output, [out])
@@ -371,14 +371,16 @@ def cmd_channel(args) -> int:
     else:
         p = _parse_probs_doc(text, probchannel.N_PROBS)
         ok, residuals = probchannel.check_channel_prob_constraints(p, args.tolerance)
-        status = "ok" if ok else "violated"
+        choi = probchannel.choi_from_probs(p)
+        min_eig = float(_eigh(lambda: choi, "Choi matrix")[0])  # CP by channel check's rule, at --tolerance
         print(
             "constraint residuals: "
             + " ".join(_fmt(r) for r in residuals)
-            + f" ({status} at tolerance {_fmt(args.tolerance)})",
+            + f" ({'ok' if ok else 'violated'} at tolerance {_fmt(args.tolerance)}); min eigenvalue {_fmt(min_eig)}"
+            + (" (CP)" if min_eig >= -args.tolerance else " (not CP)"),
             file=sys.stderr,
         )
-        _write_text(args.output, [_matrix_text(probchannel.choi_from_probs(p))])
+        _write_text(args.output, [_matrix_text(choi)])
     return 0
 
 

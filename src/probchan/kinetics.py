@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _non_finite, as_length, as_square, identity, require_hermitian
+from .matcore import _eigh, _non_finite, as_length, as_square, identity, require_hermitian
 from .probchannel import N_PROBS, affine_probs, build_constants, check_channel_prob_constraints
 
 __all__ = [
@@ -197,7 +197,7 @@ def _oracle(h):
     Y = vec(P_1) vec(P_0)^dagger, D(t) = sum_j vec(P_j) vec(P_j)^dagger + e^{-i w t} Y + e^{i w t} Y^dagger: m is
     the probability vector of the sum and c + i s = 2 prob_matrix vec(Y).
     """
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = _eigh(lambda: h, "Hamiltonian", vectors=True)
     v = (vecs.T[:, :, None] * vecs.T[:, None, :].conj()).reshape(2, 4)  # vec(P_0), vec(P_1)
     m = affine_probs(v.T @ v.conj()).real
     cs = 2.0 * (build_constants().prob_matrix @ np.outer(v[1], v[0].conj()).reshape(16))

@@ -8,11 +8,12 @@ as_square (a square matrix or a stack of them), as_length (a trailing axis
 of fixed length), require_range ([0, 1]) and require_hermitian, each run
 once at a public entry; the two shape checks alone decide an input's size
 and whether it may be a stack, and return C-ordered arrays, so a stack of any
-strides gives its elements' bits. _hermitian_pass is the one Hermiticity pass:
-one adjoint gives both the defect and the Hermitian part (m + m^dagger) / 2.
+strides gives its elements' bits. _hermitian_pass is the one Hermiticity pass,
+one adjoint for the defect and the part (m + m^dagger) / 2; _eigh the one eigensolver.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 __all__ = [
     "PAULI_X",
@@ -90,6 +91,21 @@ def require_hermitian(arr: np.ndarray, tol: float, what: str = "matrix"):
         text = f"{what} is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
         raise ValueError(text) if defect < np.inf else _non_finite(what)
     return part
+
+
+def _eigh(part, what: str, vectors: bool = False):
+    """part()'s ascending eigenvalues, with vectors also its eigenvectors as columns, of one complex matrix or a stack.
+
+    The LAPACK gufunc and signature numpy.linalg's eigh and eigvalsh call, so their bits, under their errstate with
+    invalid raised: a NaN that part() or the solve makes, as an overflowing part does, is _non_finite(what) with no
+    warning. A NaN or inf passed in can come back as NaN unrefused, so each caller gates its input first.
+    """
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            m = part()
+            return _lapack.eigh_lo(m, signature="D->dD") if vectors else _lapack.eigvalsh_lo(m, signature="D->d")
+    except FloatingPointError:
+        raise _non_finite(what) from None
 
 
 def vec(m) -> np.ndarray:

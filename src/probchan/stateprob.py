@@ -26,7 +26,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matcore import _non_finite, as_length, as_square, require_hermitian, require_range
+from .matcore import _eigh, _non_finite, as_length, as_square, require_hermitian, require_range
 
 __all__ = [
     "N_PROBS",
@@ -183,7 +183,7 @@ def tomogram(rho, direction) -> float:
         direction: real 3-vector of unit Euclidean norm (within 1e-12).
     """
     arr, part = _require_density(rho, 2)
-    min_eig = np.linalg.eigvalsh(part())[0]
+    min_eig = _eigh(part, "density matrix")[0]
     if min_eig < -_DENSITY_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
     n = as_length(direction, 3, "direction components", one=True)

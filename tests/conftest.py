@@ -1,4 +1,4 @@
-"""Shared deterministic generators for random test inputs, the CLI runner, and two references.
+"""Shared deterministic generators for random test inputs, the CLI runner, two references and an eigensolve counter.
 
 unitary_exp is the reference for the oracle, rk4_step the literal integrator evolve_blocks' closed form is held to.
 """
@@ -8,7 +8,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from probchan import matcore
 from probchan.matcore import _adjoint, as_square, require_hermitian
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -107,3 +109,26 @@ def rk4_step(f, y, t: float, dt: float):
     k3 = f(t + half, y + half * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The eigensolves made, in order: "eigh" or "eigvalsh" per call of matcore._eigh, wherever a probchan module
+    imported it, and "numpy.linalg.NAME" per call of one of numpy's four public eigensolvers, of which there should
+    be none, since _eigh calls their gufuncs itself.
+    """
+    calls = []
+    helper = matcore._eigh
+
+    def counted(part, what, vectors=False):
+        calls.append("eigh" if vectors else "eigvalsh")
+        return helper(part, what, vectors)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "probchan" and getattr(mod, "_eigh", None) is helper:
+            monkeypatch.setattr(mod, "_eigh", counted)
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        public = f"numpy.linalg.{name}"
+        monkeypatch.setattr(np.linalg, name, lambda *a, _n=public, _s=solver, **k: calls.append(_n) or _s(*a, **k))
+    return calls

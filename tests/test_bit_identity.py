@@ -9,9 +9,11 @@ Refusals changed on purpose since then are copied in their new form: 0 x 0 Choi 
 sets, the ValueError in place of verify_cptp's eigensolver error, the shape refusals of as_square and as_length,
 which decide every input's size and whether it may be a stack, the one message for NaN and infinite entries
 from the Hermiticity gate and the eigensolver, verify_cptp's refusal of every NaN entry, which its eigensolver
-returned on at (0, 0) and (3, 3), and probs_from_choi's refusal of a non-Hermitian matrix by kraus_from_choi's
+returned on at (0, 0) and (3, 3), probs_from_choi's refusal of a non-Hermitian matrix by kraus_from_choi's
 gate, 1e-9 entrywise, in place of its old rule on the imaginary part of the probabilities, which could not see
-Im D00.
+Im D00, and the Hermitian part and eigensolve of verify_cptp and kraus_from_choi run under numpy's eigensolver
+errstate with invalid raised, verify_cptp's before its traces, so that a part that overflows or turns NaN, or a
+solve that fails, gets the one non-finite message with no warning.
 """
 
 import dataclasses
@@ -90,8 +92,18 @@ def hermitian_part(arr: np.ndarray) -> np.ndarray:
     return (arr + _adjoint(arr)) / 2.0
 
 
+def solved_or_refused(solver, part):
+    # the refusal in its new form: the Hermitian part and its solve under numpy's eigensolver errstate, invalid raised
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return solver(part())
+    except (FloatingPointError, np.linalg.LinAlgError):
+        raise non_finite("Choi matrix") from None
+
+
 def hermitian_eigensystem(m, tol: float = 1e-10):
-    return np.linalg.eigh(hermitian_part(require_hermitian(m, tol, "Choi matrix")))
+    arr = require_hermitian(m, tol, "Choi matrix")
+    return solved_or_refused(np.linalg.eigh, lambda: hermitian_part(arr))
 
 
 def _split_dim(n: int, name: str) -> int:
@@ -144,12 +156,9 @@ def verify_cptp(choi, tol: float = 1e-9) -> CptpReport:
     herm = hermiticity_defect(arr)
     if np.isnan(herm).any():
         raise non_finite("Choi matrix")
+    min_eig = solved_or_refused(np.linalg.eigvalsh, lambda: hermitian_part(arr))[..., 0]
     tp_matrix = np.trace(arr.reshape(arr.shape[:-2] + (d, d, d, d)), axis1=-4, axis2=-2)
     tp_defect = np.abs(tp_matrix - np.eye(d)).max(axis=(-2, -1))
-    try:
-        min_eig = np.linalg.eigvalsh(hermitian_part(arr))[..., 0]
-    except np.linalg.LinAlgError:
-        raise non_finite("Choi matrix") from None
     cp_ok = (herm <= tol) & (min_eig >= -tol)
     verdict = _VERDICTS[2 * cp_ok + (tp_defect <= tol)]
     fields = (herm, np.trace(arr, axis1=-2, axis2=-1).real, tp_defect, min_eig, verdict)
@@ -380,34 +389,30 @@ def test_density_functions_match_their_old_bodies_bit_for_bit(rho):
     assert_same(DENSITY_PAIRS, rho)
 
 
-def test_one_eigensolve_per_cptp_check_and_kraus_extraction_and_none_elsewhere(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _solver=solver, **k: calls.append(1) or _solver(*a, **k))
+def test_one_eigensolve_per_cptp_check_and_kraus_extraction_and_none_elsewhere(eigensolves):
     rng = np.random.default_rng(1701)
     cptp = channelcore.choi_from_kraus(random_tp_kraus(rng, 2))
     not_cp = _partial_transpose(channelcore.choi_from_kraus(random_tp_kraus(rng, 1)))
     with pytest.raises(ValueError, match="not positive semidefinite"):
         channelcore.kraus_from_choi(not_cp)
     runs = [
-        (channelcore.verify_cptp, cptp, 1),
-        (channelcore.kraus_from_choi, cptp, 1),
-        (channelcore.kraus_from_choi, not_cp, 1),  # refused after its eigensolve
-        (probchannel.probs_from_choi, cptp, 0),
-        (probchannel.choi_from_probs, probchannel.probs_from_choi(cptp), 0),
-        (stateprob.qubit_density_from_probs, [0.5, 0.25, 0.75], 0),
-        (stateprob.qubit_probs_from_density, random_density(rng, 2), 0),
-        (stateprob.ququart_density_from_probs, probchannel.probs_from_choi(cptp), 0),
-        (stateprob.ququart_probs_from_density, random_density(rng, 4), 0),
+        (channelcore.verify_cptp, cptp, ["eigvalsh"]),
+        (channelcore.kraus_from_choi, cptp, ["eigh"]),
+        (channelcore.kraus_from_choi, not_cp, ["eigh"]),  # refused after its eigensolve
+        (probchannel.probs_from_choi, cptp, []),
+        (probchannel.choi_from_probs, probchannel.probs_from_choi(cptp), []),
+        (stateprob.qubit_density_from_probs, [0.5, 0.25, 0.75], []),
+        (stateprob.qubit_probs_from_density, random_density(rng, 2), []),
+        (stateprob.ququart_density_from_probs, probchannel.probs_from_choi(cptp), []),
+        (stateprob.ququart_probs_from_density, random_density(rng, 4), []),
     ]
     for fn, arg, want in runs:
-        calls.clear()
+        eigensolves.clear()
         try:
             fn(arg)
         except ValueError:
             pass
-        assert len(calls) == want, fn.__name__
+        assert eigensolves == want, fn.__name__
 
 
 def test_stacked_cptp_report_is_its_single_reports_bit_for_bit():

@@ -336,6 +336,20 @@ def test_finite_overflowing_choi_raises_value_error():
                 assert not isinstance(refused.value, np.linalg.LinAlgError)
 
 
+def test_overflowing_choi_matrices_are_refused_without_a_warning():
+    """pyproject's filterwarnings = ["error"] makes any warning fail this test: the Hermitian part, whose sum
+    overflows, is evaluated under the eigensolver's errstate, and verify_cptp solves before its traces, which would
+    overflow too."""
+    huge = np.full((4, 4), 1e308)
+    diagonal = np.diag([1e308, 1e308, 0.0, 0.0])
+    cases = [(verify_cptp, huge), (kraus_from_choi, huge), (verify_cptp, diagonal), (kraus_from_choi, diagonal)]
+    cases.append((verify_cptp, np.stack([identity(4) / 2.0, huge])))
+    for fn, arg in cases:
+        with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:
+            fn(arg)
+        assert not isinstance(refused.value, np.linalg.LinAlgError)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("nan", [complex(np.nan, 0.0), complex(0.0, np.nan)], ids=["real", "imaginary"])
 def test_verify_cptp_refuses_a_nan_at_every_entry(nan):

@@ -194,6 +194,28 @@ def test_channel_from_probs_reports_residuals(tmp_path):
     assert np.array_equal(parse_matrix(result.stdout), np.diag([-1.0, 1.0, 1.0, 1.0]))
 
 
+def test_channel_from_probs_reports_the_smallest_eigenvalue_by_the_rule_of_channel_check(tmp_path):
+    """The three residuals show trace preservation only. These probabilities meet them exactly, yet their Choi matrix
+    has the eigenvalue -2.80 and channel check calls it TP-not-CP; CP means an eigenvalue of at least -tolerance.
+    The exit code stays 0 either way."""
+    tp_not_cp = write(tmp_path, "tp.json", probs_doc([0.75, 0.75, 0.75] + [1.0] * 8 + [0.0] * 4))
+    code, out, err = run_in_process(["channel", "from-probs", tp_not_cp])
+    line = "constraint residuals: 0 0 0 (ok at tolerance 1.0000000000000001e-09); min eigenvalue -2.801360247771568"
+    assert (code, err) == (0, line + " (not CP)\n")
+    report = json.loads(run_in_process(["channel", "check", write(tmp_path, "choi.json", out)])[1])
+    assert (report["min_eigenvalue"], report["verdict"]) == (-2.801360247771568, "TP-not-CP")
+    edge = 2.801360247771568
+    for tol, verdict in ((edge, "(CP)"), (np.nextafter(edge, 0.0), "(not CP)"), (np.nextafter(edge, 3.0), "(CP)")):
+        code, _, err = run_in_process(["channel", "from-probs", tp_not_cp, "--tolerance", repr(float(tol))])
+        assert code == 0 and err.endswith(f"; min eigenvalue -2.801360247771568 {verdict}\n"), tol
+    identity_probs = np.full(15, 0.5)
+    identity_probs[[0, 1, 7]] = 1.0
+    code, _, err = run_in_process(["channel", "from-probs", write(tmp_path, "pid.json", probs_doc(identity_probs))])
+    assert code == 0 and err.startswith("constraint residuals: 0 0 0 (ok") and err.endswith(" (CP)\n")
+    code, _, err = run_in_process(["channel", "from-probs", write(tmp_path, "flat.json", probs_doc([0.5] * 15))])
+    assert code == 0 and "(violated" in err and err.endswith("; min eigenvalue -1 (not CP)\n")
+
+
 def test_channel_round_trip(tmp_path):
     choi = np.array(
         [
@@ -553,13 +575,17 @@ def test_import_builds_no_formatter_table_and_calls_no_eigensolver():
     """Importing the CLI stays cheap: the word table is built on the first evolve, no eigh runs, no argparse loads.
 
     Plain command lines are read without argparse too; another spelling of the same run loads it and reads the same.
+    No eigensolve means none through numpy's four public eigensolvers and none through matcore._eigh, counted at the
+    two LAPACK gufuncs it looks up on numpy's module at each call, since probchan's modules bind _eigh as they import.
     """
     script = """
 import numpy as np
+from numpy.linalg import _umath_linalg
 calls = []
-for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-    solver = getattr(np.linalg, name)
-    setattr(np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k))
+for module, names in ((np.linalg, ("eigh", "eigvalsh", "eig", "eigvals")), (_umath_linalg, ("eigh_lo", "eigvalsh_lo"))):
+    for name in names:
+        solver = getattr(module, name)
+        setattr(module, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k))
 import sys
 from probchan import cli
 print(cli._csv_tables.cache_info().currsize, calls, "argparse" in sys.modules)

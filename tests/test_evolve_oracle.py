@@ -97,16 +97,6 @@ def test_oracle_over_a_grid_is_its_block_chunks_bit_for_bit():
         assert np.array_equal(oracle_probs(h, times), old_oracle_probs(h, times))
 
 
-@pytest.fixture
-def eigensolves(monkeypatch):
-    """The names of the numpy eigensolvers called, in order."""
-    calls = []
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _s=solver, **k: calls.append(_n) or _s(*a, **k))
-    return calls
-
-
 def test_one_eigensolve_per_evolve_oracle_run_and_none_without_it(tmp_path, eigensolves):
     sigma_x, random_h, cptp = _files(tmp_path)
     out = str(tmp_path / "traj.csv")

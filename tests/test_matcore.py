@@ -8,12 +8,13 @@ from probchan.matcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _eigh,
     identity,
     require_hermitian,
     require_range,
     vec,
 )
-from probchan.kinetics import evolve_blocks
+from probchan.kinetics import evolve_blocks, validate_hamiltonian
 from probchan.probchannel import identity_channel_probs, probs_from_choi
 from probchan.stateprob import qubit_density_from_probs, qubit_probs_from_density, tomogram
 from conftest import complex_normal, random_hermitian, rk4_step, unitary_exp
@@ -158,3 +159,50 @@ def test_nan_fails_every_input_gate():
     choi[1, 2] = complex(0.0, nan)
     with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$"):
         probs_from_choi(choi)
+
+
+def _bits(arr):
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def test_eigh_is_numpy_eigh_and_eigvalsh_bit_for_bit():
+    """_eigh calls the LAPACK gufunc numpy.linalg's eigh and eigvalsh call, with the same signature, so its values and
+    vectors are theirs byte for byte, on single matrices and stacks; if numpy renames or changes that gufunc this
+    fails, and there is no other path to fall back on.
+
+    Both read the lower triangle only, so matrices that are not Hermitian must agree too.
+    """
+    rng = np.random.default_rng(2039)
+    cases = []
+    for d in (1, 2, 3, 4):
+        cases += [random_hermitian(rng, d), random_hermitian(rng, d, norm=1e-3), complex_normal(rng, (d, d))]
+        cases += [np.stack([random_hermitian(rng, d) for _ in range(5)]), complex_normal(rng, (2, 3, d, d))]
+        cases.append(np.stack([random_hermitian(rng, d) for _ in range(4)])[::-2].transpose(0, 2, 1))  # strided
+    for norm in (1e-9, 1.0, 3.0, 1e6):  # 2 x 2 Hamiltonians as the oracle gets them, the Paulis and a degenerate one
+        cases.append(validate_hamiltonian(random_hermitian(rng, 2, norm=norm)))
+    cases += [validate_hamiltonian(h) for h in (PAULI_X, PAULI_Y, PAULI_Z, identity(2), 0.0 * identity(2))]
+    for m in cases:
+        vals, vecs = _eigh(lambda: m, "matrix", vectors=True)
+        want_vals, want_vecs = np.linalg.eigh(m)
+        assert (_bits(vals), _bits(vecs)) == (_bits(want_vals), _bits(want_vecs)), m.shape
+        assert _bits(_eigh(lambda: m, "matrix")) == _bits(np.linalg.eigvalsh(m)), m.shape
+
+
+def test_eigh_refuses_a_nan_its_part_or_solve_makes_without_a_warning():
+    """No LinAlgError and no warning (both are errors in this suite): every NaN made under the errstate is the one
+    non-finite refusal, named by the caller's word."""
+    huge = np.full((4, 4), 1e308, dtype=complex)
+    spread = np.full((2, 2), np.inf, dtype=complex)
+    parts = {
+        "a part that overflows": lambda: (huge + huge.conj().T) / 2.0,  # inf, then NaN in the complex divide
+        "a part that subtracts infinities": lambda: spread - spread,
+        "a stack with one such element": lambda: np.stack([identity(4), (huge + huge) / 2.0]),
+        "a solve that fails": lambda: np.full((4, 4), np.nan, dtype=complex),  # LAPACK does not converge
+    }
+    for name, part in parts.items():
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:
+                _eigh(part, "Choi matrix", vectors)
+            assert not isinstance(refused.value, np.linalg.LinAlgError), name
+    with pytest.raises(ValueError, match="^Hamiltonian has NaN, infinite or too large entries$"):
+        _eigh(parts["a part that subtracts infinities"], "Hamiltonian", True)

@@ -67,3 +67,14 @@ def test_command_line_prints_what_readme_quotes(tmp_path):
     line = quoted(r"```\n(error: state cell \(0,1\) real part [^\n]*, got list)\n```")
     rho = document(tmp_path, "rho.json", {"dim": 2, "entries": [[[0.5, 0], [[0], 0]], [[0, 0], [0.5, 0]]]})
     assert run(["state", "to-probs", "--dim", "2", rho]) == (1, "", line + "\n")
+
+
+def test_channel_from_probs_prints_the_positivity_line_readme_quotes(tmp_path):
+    """README's stderr line for fifteen probabilities that meet the three constraints but give no CP map."""
+    values = quoted(r"the probabilities `\(([^`]*)\)` meet all three constraints, and `channel check` calls")
+    line = quoted(r"```\n(constraint residuals: [^\n]*\(not CP\))\n```")
+    probs = document(tmp_path, "probs.json", {"probs": [float(v) for v in values.split(",")]})
+    code, out, err = run(["channel", "from-probs", probs])
+    assert (code, err) == (0, line + "\n")
+    report = json.loads(run(["channel", "check", document(tmp_path, "choi.json", json.loads(out))])[1])
+    assert report["verdict"] == "TP-not-CP"

@@ -146,6 +146,14 @@ def test_tomogram_rejects_bad_inputs():
         tomogram(not_psd, [0.0, 0.0, 1.0])
 
 
+def test_tomogram_refuses_an_overflowing_hermitian_part_without_a_linalg_error_or_a_warning():
+    """Hermitian with trace 1, so only the eigensolve meets the entries; its part (rho + rho^dagger) / 2 overflows."""
+    for rho in ([[0.5, 1e308], [1e308, 0.5]], [[0.5, 1e308j], [-1e308j, 0.5]]):
+        with pytest.raises(ValueError, match="^density matrix has NaN, infinite or too large entries$") as refused:
+            tomogram(rho, [0.0, 0.0, 1.0])
+        assert not isinstance(refused.value, np.linalg.LinAlgError)
+
+
 def test_tomogram_unit_norm_tolerance_is_1e_12():
     rho = np.eye(2) / 2.0
     with pytest.raises(ValueError, match=r"^direction must be a unit vector, norm is 1\.0000000000012$"):
