@@ -21,9 +21,11 @@ argparse only when it is not spelled plainly. A usage error is one `error:`
 line and exit 1; `-h` or `--help` prints the help of the argparse parser built
 from the same table, at a fixed width, and exits 0.
 
-Every output document, help included, is written by one route, which
-flushes stdout: a write that fails, to a file or to stdout, is one
-`error: cannot write` line and exit 1.
+Every input document is read by one route and every output document, help
+included, is written by one route, which flushes stdout; a file is read and
+written unbuffered. A read that fails is one `error: cannot read` line, a
+write that fails, to a file or to stdout, one `error: cannot write` line,
+and both exit 1.
 """
 
 import functools
@@ -57,8 +59,17 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "rb") as fh:  # decoded once, to the text a text-mode read gives: universal newlines
-            return fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:  # to its end, then decoded once to the text a text-mode read gives: universal newlines
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+        except IsADirectoryError as exc:  # open() names the file, os.read does not
+            raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
+        text = b"".join(chunks[:-1]).decode("utf-8")  # less the empty last chunk, one chunk joins without a copy
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
@@ -76,32 +87,49 @@ def _parse_object(text: str, what: str, dim: int | None = None) -> dict:
     return doc
 
 
-def _as_number(value, what: str, *at) -> float:
-    """value as a float if an int or float within _MAX_MAGNITUDE, else a FormatError naming it what % at."""
+def _as_number(value, what: str) -> float:
+    """value as a float if an int or float within _MAX_MAGNITUDE, else a FormatError naming it what."""
     try:
         number = float(value) if type(value) in (int, float) else math.nan
     except OverflowError:
         number = math.nan
     if not abs(number) <= _MAX_MAGNITUDE:
         shown = repr(value) if type(value) is float else type(value).__name__
-        raise FormatError(f"{what % at} must be a number of magnitude at most {_MAX_MAGNITUDE:g}, got {shown}")
+        raise FormatError(f"{what} must be a number of magnitude at most {_MAX_MAGNITUDE:g}, got {shown}")
     return number
+
+
+def _numbers(values: list, name) -> np.ndarray:
+    """values as one float array by _as_number's rule, checked in one pass and converted in one call; only when the
+    pass refuses one are they walked in order, so that the first refused value is named name(k), k its index."""
+    try:
+        if {int, float}.issuperset(map(type, values)):
+            out = np.array(values, float)
+            # a Euclidean norm at most 1e149, NaN-free, bounds each magnitude; only above it is each one compared
+            if math.hypot(*values) <= 1e149 or np.count_nonzero(abs(out) <= _MAX_MAGNITUDE) == out.size:
+                return out
+    except OverflowError:  # an int beyond the largest double
+        pass
+    return np.array([_as_number(value, name(k)) for k, value in enumerate(values)])
 
 
 def _grid_to_matrix(entries, dim: int, what: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise FormatError(f"{what} 'entries' must be a list of {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
+
+    def name(k):
+        return f"{what} cell ({k // 2 // dim},{k // 2 % dim}) {('real', 'imaginary')[k % 2]} part"
+    flat = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
+            _numbers(flat, name)  # a refused number before the defect is named first
             raise FormatError(f"{what} row {i} must be a list of {dim} cells")
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
+                _numbers(flat, name)
                 raise FormatError(f"{what} cell ({i},{j}) must be a [re, im] pair")
-            re = _as_number(cell[0], "%s cell (%d,%d) real part", what, i, j)
-            im = _as_number(cell[1], "%s cell (%d,%d) imaginary part", what, i, j)
-            out[i, j] = complex(re, im)
-    return out
+            flat += cell
+    return _numbers(flat, name).view(complex).reshape(dim, dim)
 
 
 def _parse_matrix_doc(text: str, what: str, dim: int) -> np.ndarray:
@@ -116,7 +144,7 @@ def _parse_probs_doc(text: str, n: int) -> np.ndarray:
         raise FormatError("probability document needs a 'probs' list")
     if len(probs) != n:
         raise FormatError(f"expected {n} probabilities, got {len(probs)}")
-    return require_range(np.array([_as_number(x, "probs[%d]", i) for i, x in enumerate(probs)]))
+    return require_range(_numbers(probs, "probs[{}]".format))
 
 
 def _parse_kraus_doc(text: str) -> list[np.ndarray]:
@@ -135,11 +163,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _matrix_text(m: np.ndarray) -> str:
-    n = m.shape[0]
+@functools.cache
+def _matrix_template(n: int) -> str:
     row = "    [" + ", ".join(["[%.17g, %.17g]"] * n) + "]"
-    text = '{\n  "dim": %d,\n  "entries": [\n' + ",\n".join([row] * n) + "\n  ]\n}\n"
-    return text % (n, *np.stack([m.real, m.imag], axis=-1).ravel().tolist())
+    return f'{{\n  "dim": {n},\n  "entries": [\n' + ",\n".join([row] * n) + "\n  ]\n}\n"
+
+
+def _matrix_text(m: np.ndarray) -> str:
+    return _matrix_template(m.shape[0]) % tuple(np.asarray(m, complex).ravel().view(float).tolist())
 
 
 def _probs_text(p: np.ndarray) -> str:
@@ -298,10 +329,10 @@ def _trajectory_csv(blocks, h):
 
 
 def _write_text(path: str, chunks) -> None:
-    """Write an iterable of strings, one write() each, to path as UTF-8 or to stdout for '-', then flush stdout.
+    """Write an iterable of strings to path as UTF-8, each by os.write until all is written, or to stdout for '-'.
 
-    After a failed write to stdout, its file descriptor, when it has one, is pointed at the null device, as
-    Python's note on SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits.
+    Stdout is flushed. After a failed write to it, its file descriptor, when it has one, is pointed at the null
+    device, as Python's note on SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits.
     """
     try:
         if path == "-":
@@ -309,9 +340,14 @@ def _write_text(path: str, chunks) -> None:
                 sys.stdout.write(chunk)
             sys.stdout.flush()
         else:
-            with open(path, "wb") as fh:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open(path, "wb") opens it
+            try:
                 for chunk in chunks:
-                    fh.write(chunk.encode())
+                    data = memoryview(chunk.encode())
+                    while data:
+                        data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
     except OSError as exc:
         if path == "-":
             _null_stdout()
@@ -435,6 +471,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _plain_table(command: str):
+    """The flags by name, the positionals, the required dests and the converted defaults of a subcommand."""
+    table = _COMMANDS[command][1]
+    defaults = {arg[1]: arg[2](arg[3]) if arg[2] else arg[3] for arg in table if arg[3] is not None}
+    flags = {name: arg for arg in table for name in arg[0]}
+    return flags, [arg for arg in table if not arg[0]], {arg[1] for arg in table} - defaults.keys(), defaults
+
+
 def _plain(argv: list):
     """The arguments of argv if it is spelled plainly, else None.
 
@@ -444,13 +489,11 @@ def _plain(argv: list):
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    table = _COMMANDS[argv[0]][1]
-    flags = {name: arg for arg in table for name in arg[0]}
-    positionals = [arg for arg in table if not arg[0]]
-    values, words = {"command": argv[0]}, iter(argv[1:])
+    flags, positionals, required, defaults = _plain_table(argv[0])
+    values, words, positionals = {"command": argv[0]}, iter(argv[1:]), iter(positionals)
     for word in words:
         if word[:1] != "-" or word == "-":
-            arg, value = positionals.pop(0) if positionals else None, word
+            arg, value = next(positionals, None), word
         else:  # a flag, and the next word when it has a type; a missing value reads as "--"
             arg = flags.get(word)
             value = next(words, "--") if arg and arg[2] else ""
@@ -462,9 +505,8 @@ def _plain(argv: list):
             return None
         if arg[4] and value not in arg[4]:
             return None
-    if any(arg[3] is None and arg[1] not in values for arg in table):
+    if not values.keys() >= required:
         return None
-    defaults = {arg[1]: arg[2](arg[3]) if arg[2] else arg[3] for arg in table if arg[3] is not None}
     return types.SimpleNamespace(**{**defaults, **values})
 
 

@@ -319,16 +319,16 @@ def test_verify_cptp_random_tp_sets():
 
 
 def test_finite_overflowing_choi_raises_value_error():
-    # warnings off, so the overflow of (D + D^dagger) / 2 reaches the eigensolver; under pytest's warnings-as-errors
-    # an invalid-value warning would be raised before it when only overflow is ignored
+    # held under the suite's warnings-as-errors: the overflow of (D + D^dagger) / 2 is refused with no warning
     huge = np.full((4, 4), 1e308)
+    for fn, arg in ((verify_cptp, huge), (kraus_from_choi, huge), (verify_cptp, np.stack([np.eye(4), huge]))):
+        with pytest.raises(ValueError, match="too large") as refused:
+            fn(arg)
+        assert not isinstance(refused.value, np.linalg.LinAlgError)
+    # NaN and infinite entries get the same one message, whichever check meets them first: the NaN check in
+    # verify_cptp, the Hermiticity gate in kraus_from_choi and probs_from_choi. Warnings stay off here: inf - inf in
+    # the Hermiticity pass still raises an invalid-value warning before the refusal
     with np.errstate(all="ignore"):
-        for fn, arg in ((verify_cptp, huge), (kraus_from_choi, huge), (verify_cptp, np.stack([np.eye(4), huge]))):
-            with pytest.raises(ValueError, match="too large") as refused:
-                fn(arg)
-            assert not isinstance(refused.value, np.linalg.LinAlgError)
-        # NaN and infinite entries get the same one message, whichever check meets them first: the NaN check in
-        # verify_cptp, the Hermiticity gate in kraus_from_choi and probs_from_choi
         for bad in (np.nan, np.inf):
             for fn in (verify_cptp, kraus_from_choi, probs_from_choi):
                 with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$") as refused:

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import copy
 import decimal
+import errno
 import functools
 import io
 import json
 import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -720,6 +722,82 @@ def test_unwritable_output_exits_1(tmp_path):
         result = run_cli(args)
         assert result.returncode == 1
         assert result.stderr.startswith("error: cannot write") and result.stderr.count("\n") == 1
+
+
+def os_error_line(verb, path, code):
+    """The error line of a file that cannot be opened, as open() names it: errno, its text and the path's repr."""
+    return f"error: cannot {verb} {path}: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+
+
+def test_unreadable_documents_print_the_open_error_line(tmp_path):
+    """A missing input, a directory as input or output, input that is not UTF-8, a missing output directory and a
+    device that refuses writes: one line each, in the words of open(), write() and the UTF-8 decoder, and exit 1."""
+    probs = write(tmp_path, "p.json", probs_doc([0.5, 0.5, 0.5]))
+    bad = write(tmp_path, "bad.json", b'{"probs": [0.5, 0.5, 0.5\xff]}')
+    missing, folder, out = str(tmp_path / "missing.json"), str(tmp_path), str(tmp_path / "missing" / "out.json")
+    state = ["state", "from-probs", "--dim", "2"]
+    cases = [
+        ([*state, missing], os_error_line("read", missing, errno.ENOENT)),
+        ([*state, folder], os_error_line("read", folder, errno.EISDIR)),  # os.read on its fd does not name it
+        ([*state, bad], f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 24: "
+                        "invalid start byte\n"),
+        ([*state, probs, "-o", out], os_error_line("write", out, errno.ENOENT)),
+        ([*state, probs, "-o", folder], os_error_line("write", folder, errno.EISDIR)),
+        (["evolve", "--hamiltonian", folder, "--t-max", "1"], os_error_line("read", folder, errno.EISDIR)),
+    ]
+    if os.path.exists("/dev/full"):  # opened, then each write fails: the error names no file
+        cases.append(([*state, probs, "-o", "/dev/full"], f"error: cannot write /dev/full: [Errno {errno.ENOSPC}] "
+                                                          f"{os.strerror(errno.ENOSPC)}\n"))
+    for argv, line in cases:
+        assert run_in_process(argv) == (1, "", line), argv
+    assert not os.path.exists(os.path.dirname(out))
+
+
+def test_documents_read_whole_with_universal_newlines(tmp_path, monkeypatch):
+    text = "".join(f'{{"line": {i}}}\r\n{{"cr": {i}}}\r' for i in range(2000)) + "end\n"
+    path = write(tmp_path, "doc.txt", text.encode())
+    want = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert cli._read_text(path) == want
+    with open(path, newline=None) as fh:
+        assert fh.read() == want  # what a text-mode read gives
+    read = os.read
+    monkeypatch.setattr(cli.os, "read", lambda fd, n: read(fd, min(n, 3)))  # every read short
+    assert cli._read_text(path) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_to_its_end(tmp_path):
+    """A pipe's size is 0 to fstat: a document longer than the pipe's buffer still comes back whole."""
+    text = probs_doc([0.25] * 30_000)
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, text.encode()), os.close(w)))
+    writer.start()
+    try:
+        assert cli._read_text(f"/dev/fd/{r}") == text
+    finally:
+        os.close(r)  # a writer still blocked on a full pipe then fails instead of hanging the join
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def test_short_writes_over_a_longer_file_leave_the_same_bytes(tmp_path, monkeypatch):
+    probs = write(tmp_path, "p.json", probs_doc([0.5, 0.5, 0.25]))
+    h = write(tmp_path, "h.json", matrix_doc(np.array([[0.3, 0.2 - 0.7j], [0.2 + 0.7j, -1.1]])))
+    requests = {
+        "matrix.json": ["state", "from-probs", "--dim", "2", probs, "-o"],
+        "traj.csv": ["evolve", "--hamiltonian", h, "--t-max", "0.2", "--oracle", "--output"],
+    }
+    whole = {}
+    for name, argv in requests.items():
+        assert run_in_process([*argv, str(tmp_path / name)]) == (0, "", "")
+        whole[name] = (tmp_path / name).read_bytes()
+    write_fd = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: write_fd(fd, data[:3]))
+    for name, argv in requests.items():
+        (tmp_path / f"short-{name}").write_bytes(b"x" * (len(whole[name]) + 100))  # replaced whole, not overwritten
+        assert run_in_process([*argv, str(tmp_path / f"short-{name}")]) == (0, "", "")
+        assert (tmp_path / f"short-{name}").read_bytes() == whole[name], name
+    assert len(whole["traj.csv"]) > 50_000 and whole["traj.csv"].endswith(b"\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
