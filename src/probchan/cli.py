@@ -59,16 +59,8 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        fd = os.open(path, os.O_RDONLY)
-        try:  # to its end, then decoded once to the text a text-mode read gives: universal newlines
-            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
-            while chunks[-1]:
-                chunks.append(os.read(fd, 1 << 16))
-        except IsADirectoryError as exc:  # open() names the file, os.read does not
-            raise IsADirectoryError(exc.errno, exc.strerror, path) from None
-        finally:
-            os.close(fd)
-        text = b"".join(chunks[:-1]).decode("utf-8")  # less the empty last chunk, one chunk joins without a copy
+        with open(path, "rb", buffering=0) as fh:  # unbuffered: one read sized by fstat, to its end
+            text = fh.read().decode("utf-8")  # decoded once, to the text a text-mode read gives: universal newlines
         return text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
@@ -101,13 +93,12 @@ def _as_number(value, what: str) -> float:
 
 def _numbers(values: list, name) -> np.ndarray:
     """values as one float array by _as_number's rule, checked in one pass and converted in one call; only when the
-    pass refuses one are they walked in order, so that the first refused value is named name(k), k its index."""
+    pass cannot accept them all are they walked in order, so that the first refused value is named name(k), k its
+    index."""
     try:
-        if {int, float}.issuperset(map(type, values)):
-            out = np.array(values, float)
-            # a Euclidean norm at most 1e149, NaN-free, bounds each magnitude; only above it is each one compared
-            if math.hypot(*values) <= 1e149 or np.count_nonzero(abs(out) <= _MAX_MAGNITUDE) == out.size:
-                return out
+        # a NaN-free Euclidean norm at most 1e149 bounds each magnitude; a list above it is walked
+        if {int, float}.issuperset(map(type, values)) and math.hypot(*values) <= 1e149:
+            return np.array(values, float)
     except OverflowError:  # an int beyond the largest double
         pass
     return np.array([_as_number(value, name(k)) for k, value in enumerate(values)])
@@ -329,7 +320,7 @@ def _trajectory_csv(blocks, h):
 
 
 def _write_text(path: str, chunks) -> None:
-    """Write an iterable of strings to path as UTF-8, each by os.write until all is written, or to stdout for '-'.
+    """Write an iterable of strings to path as UTF-8, unbuffered, each until all is written, or to stdout for '-'.
 
     Stdout is flushed. After a failed write to it, its file descriptor, when it has one, is pointed at the null
     device, as Python's note on SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits.
@@ -340,14 +331,11 @@ def _write_text(path: str, chunks) -> None:
                 sys.stdout.write(chunk)
             sys.stdout.flush()
         else:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open(path, "wb") opens it
-            try:
+            with open(path, "wb", buffering=0) as fh:
                 for chunk in chunks:
-                    data = memoryview(chunk.encode())
-                    while data:
-                        data = data[os.write(fd, data):]
-            finally:
-                os.close(fd)
+                    data = chunk.encode()
+                    while data:  # a raw write may take less than all of it
+                        data = data[fh.write(data):]
     except OSError as exc:
         if path == "-":
             _null_stdout()

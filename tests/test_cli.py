@@ -738,7 +738,7 @@ def test_unreadable_documents_print_the_open_error_line(tmp_path):
     state = ["state", "from-probs", "--dim", "2"]
     cases = [
         ([*state, missing], os_error_line("read", missing, errno.ENOENT)),
-        ([*state, folder], os_error_line("read", folder, errno.EISDIR)),  # os.read on its fd does not name it
+        ([*state, folder], os_error_line("read", folder, errno.EISDIR)),
         ([*state, bad], f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 24: "
                         "invalid start byte\n"),
         ([*state, probs, "-o", out], os_error_line("write", out, errno.ENOENT)),
@@ -753,16 +753,13 @@ def test_unreadable_documents_print_the_open_error_line(tmp_path):
     assert not os.path.exists(os.path.dirname(out))
 
 
-def test_documents_read_whole_with_universal_newlines(tmp_path, monkeypatch):
+def test_documents_read_whole_with_universal_newlines(tmp_path):
     text = "".join(f'{{"line": {i}}}\r\n{{"cr": {i}}}\r' for i in range(2000)) + "end\n"
     path = write(tmp_path, "doc.txt", text.encode())
     want = text.replace("\r\n", "\n").replace("\r", "\n")
     assert cli._read_text(path) == want
     with open(path, newline=None) as fh:
         assert fh.read() == want  # what a text-mode read gives
-    read = os.read
-    monkeypatch.setattr(cli.os, "read", lambda fd, n: read(fd, min(n, 3)))  # every read short
-    assert cli._read_text(path) == want
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -791,8 +788,27 @@ def test_short_writes_over_a_longer_file_leave_the_same_bytes(tmp_path, monkeypa
     for name, argv in requests.items():
         assert run_in_process([*argv, str(tmp_path / name)]) == (0, "", "")
         whole[name] = (tmp_path / name).read_bytes()
-    write_fd = os.write
-    monkeypatch.setattr(cli.os, "write", lambda fd, data: write_fd(fd, data[:3]))
+    real_open = open
+
+    class ShortWrites:
+        """An unbuffered file whose every write takes at most 3 bytes, as a raw write may."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def write(self, data):
+            return self.fh.write(data[:3])
+
+        def __getattr__(self, name):  # read and the rest
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(cli, "open", ShortWrites, raising=False)  # shadows the builtin in cli alone
     for name, argv in requests.items():
         (tmp_path / f"short-{name}").write_bytes(b"x" * (len(whole[name]) + 100))  # replaced whole, not overwritten
         assert run_in_process([*argv, str(tmp_path / f"short-{name}")]) == (0, "", "")
