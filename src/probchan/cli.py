@@ -23,9 +23,10 @@ from the same table, at a fixed width, and exits 0.
 
 Every input document is read by one route and every output document, help
 included, is written by one route, which flushes stdout; a file is read and
-written unbuffered. A read that fails is one `error: cannot read` line, a
-write that fails, to a file or to stdout, one `error: cannot write` line,
-and both exit 1.
+written unbuffered. A read that fails, a closed stdin's too, is one `error:
+cannot read` line, a write that fails, a closed or full stdout's too, one
+`error: cannot write` line, and both exit 1. Stderr has one route too: a
+closed or unwritable stderr loses its line, never an exit code or stdout.
 """
 
 import functools
@@ -58,6 +59,8 @@ _MAX_MAGNITUDE = 1e150
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed when the process started
+                raise OSError("stdin is closed")
             return sys.stdin.read()
         with open(path, "rb", buffering=0) as fh:  # unbuffered: one read sized by fstat, to its end
             text = fh.read().decode("utf-8")  # decoded once, to the text a text-mode read gives: universal newlines
@@ -322,11 +325,12 @@ def _trajectory_csv(blocks, h):
 def _write_text(path: str, chunks) -> None:
     """Write an iterable of strings to path as UTF-8, unbuffered, each until all is written, or to stdout for '-'.
 
-    Stdout is flushed. After a failed write to it, its file descriptor, when it has one, is pointed at the null
-    device, as Python's note on SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits.
+    Stdout is flushed; after a failed write to it, it goes to the null device (_to_null).
     """
     try:
         if path == "-":
+            if sys.stdout is None:  # fd 1 was closed when the process started
+                raise OSError("stdout is closed")
             for chunk in chunks:
                 sys.stdout.write(chunk)
             sys.stdout.flush()
@@ -338,13 +342,24 @@ def _write_text(path: str, chunks) -> None:
                         data = data[fh.write(data):]
     except OSError as exc:
         if path == "-":
-            _null_stdout()
+            _to_null(sys.stdout)
         raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _null_stdout() -> None:
+def _warn(line: str) -> None:
+    """Write a line to stderr, the one route to it. A stderr that cannot be written loses the line and nothing else."""
+    if sys.stderr is not None:  # None: fd 2 was closed when the process started
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            _to_null(sys.stderr)
+
+
+def _to_null(stream) -> None:
+    """Point a stream that failed a write at the null device, when it has a file descriptor, as Python's note on
+    SIGPIPE does: what is left in its buffer cannot fail again when the interpreter exits and change its exit code."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):  # an in-process caller's StringIO has none
         return
     null = os.open(os.devnull, os.O_WRONLY)
@@ -378,33 +393,28 @@ def cmd_channel(args) -> int:
         raise FormatError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     text = _read_text(args.input)
     if args.action == "check":
-        report = channelcore.verify_cptp(_parse_matrix_doc(text, "Choi matrix", 4), args.tolerance)
-        _write_text(args.output, [_report_text(report)])
+        out = _report_text(channelcore.verify_cptp(_parse_matrix_doc(text, "Choi matrix", 4), args.tolerance))
     elif args.action == "choi-from-kraus":
-        _write_text(args.output, [_matrix_text(channelcore.choi_from_kraus(_parse_kraus_doc(text)))])
+        out = _matrix_text(channelcore.choi_from_kraus(_parse_kraus_doc(text)))
     elif args.action == "to-probs":
         m = _parse_matrix_doc(text, "Choi matrix", 4)
-        p = probchannel.probs_from_choi(m)
+        out = _probs_text(probchannel.probs_from_choi(m))
         trace = m.trace().real
         if not abs(trace - 2.0) <= args.tolerance:
             raise ValueError(
                 f"Choi matrix trace is {_fmt(trace)}, not 2 within --tolerance; "
                 "fifteen probabilities fix only trace-2 matrices"
             )
-        _write_text(args.output, [_probs_text(p)])
     else:
         p = _parse_probs_doc(text, probchannel.N_PROBS)
         ok, residuals = probchannel.check_channel_prob_constraints(p, args.tolerance)
         choi = probchannel.choi_from_probs(p)
         min_eig = float(_eigh(lambda: choi, "Choi matrix")[0])  # CP by channel check's rule, at --tolerance
-        print(
-            "constraint residuals: "
-            + " ".join(_fmt(r) for r in residuals)
-            + f" ({'ok' if ok else 'violated'} at tolerance {_fmt(args.tolerance)}); min eigenvalue {_fmt(min_eig)}"
-            + (" (CP)" if min_eig >= -args.tolerance else " (not CP)"),
-            file=sys.stderr,
-        )
-        _write_text(args.output, [_matrix_text(choi)])
+        cp = "CP" if min_eig >= -args.tolerance else "not CP"
+        _warn(f"constraint residuals: {' '.join(map(_fmt, residuals))} ({'ok' if ok else 'violated'} at tolerance "
+              f"{_fmt(args.tolerance)}); min eigenvalue {_fmt(min_eig)} ({cp})")
+        out = _matrix_text(choi)
+    _write_text(args.output, [out])
     return 0
 
 
@@ -540,9 +550,6 @@ def main(argv=None) -> int:
         return {"state": cmd_state, "channel": cmd_channel, "evolve": cmd_evolve}[args.command](args)
     except SystemExit as exc:  # -h or --help, after argparse printed the help
         return exc.code
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (FormatError, ValueError) as exc:  # malformed input exits 1, out-of-domain values 2
+        _warn(f"error: {exc}")
+        return 1 if isinstance(exc, FormatError) else 2

@@ -127,10 +127,6 @@ def affine_choi(p: np.ndarray) -> np.ndarray:
     return _affine(k.choi_matrix, k.choi_offset, p).reshape(p.shape[:-1] + (n, n))
 
 
-def _as_probs(p, n: int) -> np.ndarray:
-    return require_range(as_length(p, n))
-
-
 def _require_density(rho, dim: int):
     """(rho, its Hermitian part function) once rho is dim x dim and Hermitian with trace 1 within _DENSITY_TOL."""
     arr = as_square(rho, "density matrix", dim, one=True)
@@ -148,7 +144,7 @@ def qubit_density_from_probs(probs) -> np.ndarray:
     Components must lie in [0, 1]; no positivity check is made here, use
     qubit_bloch_check for that.
     """
-    return affine_choi(_as_probs(probs, 3)) / 2.0
+    return affine_choi(require_range(as_length(probs, 3))) / 2.0
 
 
 def qubit_probs_from_density(rho) -> np.ndarray:
@@ -195,7 +191,7 @@ def tomogram(rho, direction) -> float:
 
 def ququart_density_from_probs(probs) -> np.ndarray:
     """Build the 4 x 4 density matrix from the 15-component probability vector, or one per row of a stack."""
-    return affine_choi(_as_probs(probs, N_PROBS)) / 2.0
+    return affine_choi(require_range(as_length(probs, N_PROBS))) / 2.0
 
 
 def ququart_probs_from_density(rho) -> np.ndarray:

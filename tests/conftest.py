@@ -16,27 +16,24 @@ from probchan.matcore import _adjoint, as_square, require_hermitian
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_python(args, stdin_text=None, stdout=subprocess.PIPE):
+def run_python(args, stdin_text=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, closing=""):
     """Run `python -W error ARGS` in a child process that imports the package from this checkout's src.
 
     -W error turns a warning in the child into a failure, as filterwarnings = ["error"] does in this process.
-    stdout is captured unless a file is given for it.
+    stdout and stderr are captured unless a file or descriptor is given for them. closing is a shell redirection such
+    as "<&-" that sh applies before it execs python, so that the child starts with that standard stream closed.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-W", "error", *args],
-        input=stdin_text,
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
+    argv = [sys.executable, "-W", "error", *args]
+    if closing:
+        argv = ["sh", "-c", f'exec "$0" "$@" {closing}', *argv]
+    return subprocess.run(argv, input=stdin_text, stdout=stdout, stderr=stderr, text=True, env=env)
 
 
-def run_cli(args, stdin_text=None, stdout=subprocess.PIPE):
+def run_cli(args, stdin_text=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, closing=""):
     """Run `python -W error -m probchan ARGS` in a child process, as run_python does."""
-    return run_python(["-m", "probchan", *args], stdin_text, stdout)
+    return run_python(["-m", "probchan", *args], stdin_text, stdout, stderr, closing)
 
 
 def complex_normal(rng, shape):

@@ -11,7 +11,7 @@ from probchan.channelcore import (
     superop_from_choi,
     verify_cptp,
 )
-from probchan.matcore import PAULI_X, PAULI_Z, identity, vec
+from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, identity, vec
 from probchan.probchannel import probs_from_choi
 from conftest import complex_normal, random_density, random_tp_kraus
 
@@ -361,3 +361,65 @@ def test_verify_cptp_refuses_a_nan_at_every_entry(nan):
         for arg in (choi, np.stack([identity(4) / 2.0, choi])):
             with pytest.raises(ValueError, match="^Choi matrix has NaN, infinite or too large entries$"):
                 verify_cptp(arg)
+
+
+def haar_unitary(rng):
+    """A 2 x 2 unitary drawn from the Haar measure (QR of a complex Gaussian matrix, phases of R divided out)."""
+    q, r = np.linalg.qr(complex_normal(rng, (2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def unital_choi(q, u, w):
+    """Choi matrix of rho -> U L(W rho W^dagger) U^dagger, L the Pauli channel with weights q on I, X, Y and Z.
+
+    L's Choi matrix is sum_j q_j vec(s_j) vec(s_j)^dagger, and vec(U K W) = (U (x) W^T) vec(K) row-major, so the
+    whole map's is (U (x) W^T) D_L (U (x) W^T)^dagger. The vec(s_j) are orthogonal with norm sqrt(2): the spectrum is
+    2q whatever U and W are, and the partial trace is sum_j q_j I, so the map is TP even where a weight is negative.
+    """
+    paulis = np.stack([identity(2), PAULI_X, PAULI_Y, PAULI_Z]).reshape(4, 4)  # row j is vec(s_j)
+    m = np.kron(u, w.T)
+    return m @ ((paulis.T * q) @ paulis.conj()) @ m.conj().T
+
+
+def test_unital_qubit_channels_are_an_eigensolver_free_cp_oracle():
+    """Every unital qubit channel is U o L o W with L a Pauli channel (King and Ruskai, IEEE Trans. Inf. Theory 47,
+    192 (2001)). With Bloch scalings l in [-1.2, 1.2]^3, L's weights q = (1 + l1 + l2 + l3, 1 + l1 - l2 - l3,
+    1 - l1 + l2 - l3, 1 - l1 - l2 + l3) / 4 sum to 1, and CP is min q >= 0: the tetrahedron of Fujiwara and Algoet
+    (Phys. Rev. A 59, 3290 (1999)). verify_cptp's smallest eigenvalue is 2 min q, its TP defect is rounding, its
+    verdict the one min q gives and kraus_from_choi keeps all four operators. Draws within 1e-12 of the verdict's
+    or the rank's threshold are redrawn."""
+    rng = np.random.default_rng(22)
+    tol = 1e-9
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+    def weights(scalings):
+        return (1.0 + scalings @ signs.T) / 4.0
+
+    def near(q):
+        return (np.abs(2.0 * q.min(-1) + tol) < 1e-12) | (np.abs(q.min(-1) - 1e-6) < 1e-12)
+
+    scalings = rng.uniform(-1.2, 1.2, (3000, 3))
+    while np.any(near(weights(scalings))):
+        scalings[near(weights(scalings))] = rng.uniform(-1.2, 1.2, 3)
+    q = weights(scalings)
+    chois = np.array([unital_choi(qk, haar_unitary(rng), haar_unitary(rng)) for qk in q])
+    report = verify_cptp(chois, tol)
+    assert np.max(np.abs(report.min_eigenvalue - 2.0 * q.min(-1))) <= 1e-14
+    assert np.max(report.tp_defect) <= 1e-14
+    want = np.where(2.0 * q.min(-1) >= -tol, "CPTP", "TP-not-CP")
+    assert np.array_equal(report.verdict, want) and set(want) == {"CPTP", "TP-not-CP"}
+    full_rank = q.min(-1) > 1e-6
+    assert full_rank.sum() > 100
+    assert all(len(kraus_from_choi(choi)) == 4 for choi in chois[full_rank])
+
+    # the tetrahedron's vertices, the four Pauli unitaries, and its faces, where one weight is 0
+    vertices = np.eye(4)
+    faces = np.zeros((400, 4))
+    faces[np.arange(400)[:, None], (np.arange(400)[:, None] + [1, 2, 3]) % 4] = rng.dirichlet(np.ones(3), 400)
+    assert faces[faces > 0].min() > 1e-6
+    for corner, rank in ((vertices, 1), (faces, 3)):
+        chois = np.array([unital_choi(qk, haar_unitary(rng), haar_unitary(rng)) for qk in corner])
+        report = verify_cptp(chois, tol)
+        assert np.all(report.verdict == "CPTP"), rank
+        assert np.max(np.abs(report.min_eigenvalue)) <= 1e-14 and np.max(report.tp_defect) <= 1e-14, rank
+        assert all(len(kraus_from_choi(choi)) == rank for choi in chois), rank

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -829,6 +831,61 @@ def test_stdout_that_cannot_be_written_exits_1(monkeypatch):
             result = run_cli(args, stdin_text, stdout=full)
         assert result.returncode == 1, (args, result.stderr)
         assert re.fullmatch(r"error: cannot write -: [^\n]*\n", result.stderr), (args, result.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["line-buffered", "unbuffered"])
+def test_a_closed_or_broken_stderr_changes_no_exit_code_or_stdout(tmp_path, monkeypatch, unbuffered):
+    """A stderr that is a pipe nobody reads, or that is closed when the process starts (Python's sys.stderr is then
+    None), loses from-probs' report and the error line; the exit code and every byte of stdout stay.
+
+    Stderr is line-buffered unless PYTHONUNBUFFERED is set; buffered, a line it failed to write stays in its buffer,
+    and a second failure when the interpreter flushes it at exit would turn the exit code into 120.
+    """
+    if unbuffered is None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    identity = write(tmp_path, "id.json", probs_doc(identity_channel_probs()))
+    outside = write(tmp_path, "bad.json", probs_doc([1.5, 0.5, 0.5]))
+    from_probs, refused = ["channel", "from-probs", identity], ["state", "from-probs", "--dim", "2", outside]
+    normal = run_cli(from_probs)
+    assert normal.returncode == 0 and normal.stderr.endswith(" (CP)\n")
+    assert run_cli(refused).returncode == 2
+    r, w = os.pipe()
+    os.close(r)  # each write to w now fails with EPIPE
+    try:
+        broken = [run_cli(args, stderr=w) for args in (from_probs, refused)]
+    finally:
+        os.close(w)
+    closed = [run_cli(args, stderr=subprocess.DEVNULL, closing="2>&-") for args in (from_probs, refused)]
+    for name, (report, refusal) in (("broken", broken), ("closed", closed)):
+        assert (report.returncode, report.stdout) == (0, normal.stdout), name
+        assert (refusal.returncode, refusal.stdout) == (2, ""), name
+
+
+def test_a_closed_stdin_or_stdout_is_one_error_line_and_exit_1(tmp_path):
+    probs = write(tmp_path, "p.json", probs_doc([0.5, 0.5, 0.5]))
+    state = ["state", "from-probs", "--dim", "2"]
+    result = run_cli([*state, "-"], closing="<&-")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: cannot read -: stdin is closed\n")
+    for args in ([*state, probs], ["--help"], ["evolve", "--help"]):
+        result = run_cli(args, closing=">&-")
+        assert (result.returncode, result.stderr) == (1, "error: cannot write -: stdout is closed\n"), args
+
+
+def test_an_unwritable_stdout_without_a_file_descriptor_is_one_error_line(tmp_path, monkeypatch):
+    """An in-process stdout that has no fileno is left as it is after its write fails: nothing to point elsewhere."""
+
+    class Unwritable:
+        def write(self, text):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    probs = write(tmp_path, "p.json", probs_doc([0.5, 0.5, 0.5]))
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["state", "from-probs", "--dim", "2", probs])
+    assert (code, err.getvalue()) == (1, f"error: cannot write -: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n")
 
 
 def test_input_numbers_are_bounded_by_1e150(tmp_path):

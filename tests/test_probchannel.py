@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from probchan.channelcore import choi_from_kraus, kraus_from_choi, verify_cptp
-from probchan.matcore import identity
+from probchan.matcore import PAULI_X, PAULI_Y, PAULI_Z, identity
 from probchan.probchannel import (
     N_PROBS,
     build_constants,
@@ -12,7 +12,7 @@ from probchan.probchannel import (
     identity_channel_probs,
     probs_from_choi,
 )
-from probchan.kinetics import P_STAR
+from probchan.kinetics import P_STAR, oracle_probs
 from probchan.stateprob import ququart_probs_from_density
 from conftest import random_channel_probs, random_tp_kraus
 
@@ -278,3 +278,44 @@ def test_constraint_residuals_are_the_partial_trace_of_the_layout():
     t = np.einsum("kiaib->kab", choi_from_probs(p).reshape(-1, 2, 2, 2, 2))
     expected = 0.5 * np.abs(np.stack([t[:, 0, 0] - 1.0, t[:, 0, 1].real, t[:, 0, 1].imag], axis=-1))
     assert np.max(np.abs(channel_constraint_residuals(p) - expected)) <= 1e-15
+
+
+def test_the_papers_qubit_maps_are_exact_coin_families():
+    """Four qubit maps as Kraus families over a grid of their parameter, and the unitary flow exp(-i sigma_z t / 2)
+    from the identity start. Each moves a few of the identity channel's coins (p1 = p2 = p8 = 1, all others 1/2) by a
+    closed form, one-based as in README's table, and every channel of each family is CPTP. The bit-flip and dephasing
+    forms hold in exactly these parametrizations."""
+    s = np.linspace(0.0, 1.0, 101)
+    i2, x, y, z = identity(2), PAULI_X, PAULI_Y, PAULI_Z
+    families = {
+        "depolarising (1 - l) rho + l I / 2": (
+            [[np.sqrt(1 - 3 * l / 4) * i2, np.sqrt(l / 4) * x, np.sqrt(l / 4) * y, np.sqrt(l / 4) * z] for l in s],
+            {1: 1 - s / 4, 2: 1 - s / 4, 3: 0.5 + s / 4, 8: 1 - s / 2},
+        ),
+        "dephasing (1 - l/2) rho + (l/2) Z rho Z": (
+            [[np.sqrt(1 - l / 2) * i2, np.sqrt(l / 2) * z] for l in s],
+            {8: 1 - s / 2},
+        ),
+        "bit flip (1 - l) rho + l X rho X": (
+            [[np.sqrt(1 - l) * i2, np.sqrt(l) * x] for l in s],
+            {1: 1 - s / 2, 2: 1 - s / 2, 8: 1 - s / 2, 3: 0.5 + s / 2, 10: 0.5 + s / 2},
+        ),
+        "amplitude damping g": (
+            [[np.array([[1, 0], [0, np.sqrt(1 - g)]]), np.array([[0, np.sqrt(g)], [0, 0]])] for g in s],
+            {1: 1 - s / 2, 3: 0.5 + s / 2, 8: (1 + np.sqrt(1 - s)) / 2},
+        ),
+    }
+    for name, (kraus_sets, moved) in families.items():
+        chois = np.array([choi_from_kraus(kraus) for kraus in kraus_sets])
+        want = np.tile(identity_channel_probs(), (len(s), 1))
+        for k, coin in moved.items():
+            want[:, k - 1] = coin
+        assert np.max(np.abs(probs_from_choi(chois) - want)) <= 1e-15, name
+        assert np.all(verify_cptp(chois).verdict == "CPTP"), name
+
+    theta = np.linspace(0.0, 2 * np.pi, 30)
+    rotated = oracle_probs(PAULI_Z / 2, theta)
+    want = np.tile(identity_channel_probs(), (len(theta), 1))
+    want[:, 7], want[:, 8] = (1 + np.cos(theta)) / 2, (1 + np.sin(theta)) / 2
+    assert np.max(np.abs(rotated - want)) <= 1e-15
+    assert np.all(verify_cptp(choi_from_probs(rotated)).verdict == "CPTP")
